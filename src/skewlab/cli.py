@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Any, Optional
 
@@ -18,10 +17,16 @@ import numpy as np
 
 from . import __version__
 from .construct import (
+    EXHAUSTIVE,
+    SKIPPED,
     BaseSet,
     bi_sphere_construction,
+    fitted_c,
+    free_verification,
     growth_table,
     product_construction,
+    product_exponent,
+    product_verification,
     sphere_construction,
     verify_free,
 )
@@ -70,8 +75,7 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _emit(report: dict, out: Optional[str] = None) -> None:
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
+def _write(text: str, out: Optional[str] = None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -79,21 +83,12 @@ def _emit(report: dict, out: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(report: dict, out: Optional[str] = None) -> None:
+    _write(json.dumps(_jsonable(report), indent=2) + "\n", out)
+
+
 def _prog_dict(p: Optional[Progression]) -> Optional[dict]:
-    if p is None:
-        return None
-    return {
-        "start": p.start,
-        "difference": p.difference,
-        "length": p.length,
-        "span": p.span,
-    }
-
-
-def _witness_dict(w) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"x": w.x, "y": w.y, "y_prime": w.y_prime, "d": w.d}
+    return None if p is None else {**_jsonable(p), "span": p.span}
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +98,7 @@ def _witness_dict(w) -> Optional[dict]:
 def _cmd_verify(args) -> int:
     a = load_skewset(args.infile)
     w = find_skew_corner(a)
-    report = {"free": w is None, "witness": _witness_dict(w)}
+    report = {"free": w is None, "witness": w}
     if args.bi:
         report["bi_free"] = is_bi_skew_corner_free(a)
     _emit(report, args.report)
@@ -121,8 +116,7 @@ def _cmd_count(args) -> int:
         torus_counts = True
         N = a.ambient.size if a.ambient.kind == "torus" else 2 * a.ambient.size
     report = {
-        "trivial": c.trivial,
-        "nontrivial": c.nontrivial,
+        **_jsonable(c),
         "total": c.total,
         "lambda": c.total / N**4 if torus_counts else None,
     }
@@ -135,20 +129,20 @@ def _cmd_construct(args) -> int:
         build = bi_sphere_construction if args.bi else sphere_construction
         a, params = build(args.n)
         verified = False
+        verification = SKIPPED
         if not args.no_verify:
             verified = verify_free(a, seed=args.seed)
-        import math
-
-        lg = math.log2(args.n)
+            verification = free_verification(a)
         report = {
             "family": "sphere",
             "n": args.n,
             "bi": args.bi,
-            "params": {"m": params.m, "d": params.d, "r": params.r, "t": params.t},
+            "params": params,
             "size": len(a),
             "density": a.density,
-            "fitted_c": (2 * lg - math.log2(len(a))) / math.sqrt(lg),
+            "fitted_c": fitted_c(args.n, len(a)),
             "verified": verified,
+            "verification": verification,
         }
     else:
         if args.base:
@@ -156,21 +150,19 @@ def _cmd_construct(args) -> int:
             base = BaseSet(base_points.ambient.size, base_points)
         else:
             base = find_base_set(6)
-        a = product_construction(
-            base, args.n, verify=True if args.force_verify else None
-        )
-        k = 0
-        while base.b ** (k + 1) <= args.n:
-            k += 1
+        verify = True if args.force_verify else None
+        a = product_construction(base, args.n, verify=verify)
+        verification = product_verification(args.n, verify)
         report = {
             "family": "product",
             "n": args.n,
             "base_b": base.b,
             "base_size": len(base),
-            "k": k,
+            "k": product_exponent(base.b, args.n),
             "size": len(a),
             "density": a.density,
-            "verified": bool(args.force_verify or args.n <= 64),
+            "verified": verification == EXHAUSTIVE,
+            "verification": verification,
         }
     if args.out:
         save_skewset(a, args.out)
@@ -203,12 +195,7 @@ def _cmd_growth(args) -> int:
                 f"{r.n},{r.size},{r.density!r},{r.fitted_c!r},"
                 f"{r.params.m},{r.params.d},{r.params.r},{r.params.t}"
             )
-        text = "\n".join(lines) + "\n"
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.report)
     else:
         _emit({"rows": rows}, args.report)
     return 0
@@ -222,14 +209,7 @@ def _cmd_search(args) -> int:
         mode="bi_skew" if args.bi else "skew",
         symmetry=not args.no_symmetry,
     )
-    report = {
-        "ambient": {"kind": ambient.kind, "size": ambient.size},
-        "mode": res.mode,
-        "best_size": res.best_size,
-        "optimal": res.optimal,
-        "nodes_explored": res.nodes_explored,
-        "budget_exhausted": res.budget_exhausted,
-    }
+    report = {k: v for k, v in vars(res).items() if k != "witness"}
     if args.out:
         save_skewset(res.witness, args.out)
         report["out"] = args.out
@@ -250,24 +230,9 @@ def _cmd_diagnose(args) -> int:
             "guaranteed_count": g.guaranteed_count,
         }
     elif args.check == "dichotomy":
-        d = dichotomy_report(a)
-        report = {
-            "check": "dichotomy",
-            "alpha": d.alpha,
-            "lhs": d.lhs,
-            "branch": d.branch,
-            "small_density_threshold": d.small_density_threshold,
-            "mass_threshold": d.mass_threshold,
-        }
+        report = {"check": "dichotomy", **_jsonable(dichotomy_report(a))}
     elif args.check == "parseval":
-        p = parseval_bound(a)
-        report = {
-            "check": "parseval",
-            "full_sum": p.full_sum,
-            "nontrivial_sum": p.nontrivial_sum,
-            "nonempty_columns": p.nonempty_columns,
-            "modulus": p.modulus,
-        }
+        report = {"check": "parseval", **_jsonable(parseval_bound(a))}
     else:
         ind = TwoDFunction.indicator(a)
         lam = lambda_form(ind, ind, ind)
@@ -343,21 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "search, diagnose, increment, experiment.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SKEWLAB_THREADS", "0") or 0),
-        help="reserved; results are schedule-independent (falls back to "
-        "SKEWLAB_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_report(p):
         p.add_argument("--report", help="write the JSON report here instead of stdout")
-        p.add_argument(
-            "--json", action="store_true",
-            help="accepted for compatibility; reports are JSON by default",
-        )
 
     p = sub.add_parser("verify", help="check a skewset file for skew corners")
     p.add_argument("--in", dest="infile", required=True)
@@ -453,10 +407,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except FalsificationError as exc:
         print(f"falsification event: {exc}", file=sys.stderr)
         return 3
-    except SkewLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SkewLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,16 +11,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import GridSet, grid, torus
 from .errors import FalsificationError, ParameterError
-from .verify import find_skew_corner
+from .verify import find_skew_corner, pair_targets
 
 # Row block size for the inner-product scans, in matrix entries.
 _SCAN_CHUNK = 4_000_000
+
+# `verify_free` runs the exhaustive check up to this column-pair work
+# sum_x |A_x|^2 and random pair probes above it.
+VERIFY_EXHAUSTIVE_MAX = 20_000_000
+
+# How a construction's freeness was checked, as its reports say.
+EXHAUSTIVE = "exhaustive"
+SAMPLED = "sampled"
+SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -95,18 +104,25 @@ def _embed_many(pts: np.ndarray, m: int) -> np.ndarray:
     return 1 + (pts - 1) @ weights
 
 
+def _inner_products(
+    rows: np.ndarray, box: np.ndarray, cols: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(chunk, P) for consecutive blocks `chunk` of `rows`, with
+    P[i, j] = <box[chunk[i]], box[cols[j]]>."""
+    xf = box.astype(np.float64)
+    block = max(1, _SCAN_CHUNK // max(1, len(cols)))
+    for s in range(0, len(rows), block):
+        chunk = rows[s : s + block]
+        yield chunk, np.rint(xf[chunk] @ xf[cols].T).astype(np.int64)
+
+
 def _inner_product_counts(
     rows: np.ndarray, box: np.ndarray, cols: np.ndarray, tmax: int
 ) -> np.ndarray:
     """Histogram of <x, y> over x in box[rows], y in box[cols]."""
     counts = np.zeros(tmax + 1, dtype=np.int64)
-    xf = box.astype(np.float64)
-    block = max(1, _SCAN_CHUNK // max(1, len(cols)))
-    for s in range(0, len(rows), block):
-        sub = xf[rows[s : s + block]] @ xf[cols].T
-        counts += np.bincount(
-            np.rint(sub).astype(np.int64).ravel(), minlength=tmax + 1
-        )
+    for _, sub in _inner_products(rows, box, cols):
+        counts += np.bincount(sub.ravel(), minlength=tmax + 1)
     return counts
 
 
@@ -115,14 +131,8 @@ def _pairs_with_product(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i in rows, j in cols) with <box[i], box[j]> = t."""
     empty = np.array([], dtype=np.int64)
-    if len(rows) == 0 or len(cols) == 0:
-        return empty, empty
-    xf = box.astype(np.float64)
     out_i, out_j = [empty], [empty]
-    block = max(1, _SCAN_CHUNK // max(1, len(cols)))
-    for s in range(0, len(rows), block):
-        chunk = rows[s : s + block]
-        sub = np.rint(xf[chunk] @ xf[cols].T).astype(np.int64)
+    for chunk, sub in _inner_products(rows, box, cols):
         ii, jj = np.nonzero(sub == t)
         out_i.append(chunk[ii])
         out_j.append(cols[jj])
@@ -186,17 +196,24 @@ def sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
         if c > best[0]:
             best = (c, int(r), t)
     count, r, t = best
-    ii, jj = _pairs_with_product(
-        np.flatnonzero(norms == r), box, all_cols, t
-    )
-    xs = _embed_many(box[ii], m)
-    ys = _embed_many(box[jj], m)
-    out = GridSet.from_arrays(xs, ys, grid(n))
+    params = SphereParams(m=m, d=d, r=r, t=t)
+    return _sphere_set(n, params, box, np.flatnonzero(norms == r), all_cols, count)
+
+
+def _sphere_set(
+    n: int, params: SphereParams, box: np.ndarray,
+    rows: np.ndarray, cols: np.ndarray, count: int,
+) -> tuple[GridSet, SphereParams]:
+    """Embed the pairs of box[rows] x box[cols] with inner product t into
+    [n]^2 and check that all `count` of them survive the embedding."""
+    ii, jj = _pairs_with_product(rows, box, cols, params.t)
+    m = params.m
+    out = GridSet.from_arrays(_embed_many(box[ii], m), _embed_many(box[jj], m), grid(n))
     if len(out) != count:
         raise FalsificationError(
             "digit embedding collapsed sphere pairs; phi not injective"
         )
-    return out, SphereParams(m=m, d=d, r=r, t=t)
+    return out, params
 
 
 def bi_sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
@@ -216,15 +233,22 @@ def bi_sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
     tmax = d * m * m
     counts = _inner_product_counts(rows, box, rows, tmax)
     t = int(np.argmax(counts))
-    ii, jj = _pairs_with_product(rows, box, rows, t)
-    xs = _embed_many(box[ii], m)
-    ys = _embed_many(box[jj], m)
-    out = GridSet.from_arrays(xs, ys, grid(n))
-    if len(out) != int(counts[t]):
-        raise FalsificationError(
-            "digit embedding collapsed sphere pairs; phi not injective"
-        )
-    return out, SphereParams(m=m, d=d, r=r, t=t)
+    params = SphereParams(m=m, d=d, r=r, t=t)
+    return _sphere_set(n, params, box, rows, rows, int(counts[t]))
+
+
+def product_exponent(b: int, n: int) -> int:
+    """The digit count k = floor(log_b n) of the product construction."""
+    k = 0
+    while b ** (k + 1) <= n:
+        k += 1
+    return k
+
+
+def product_verification(n: int, verify: Optional[bool] = None) -> str:
+    """How `product_construction` checks its output: exhaustively when
+    n <= 64 or `verify` forces it, otherwise not at all."""
+    return EXHAUSTIVE if verify or (verify is None and n <= 64) else SKIPPED
 
 
 def product_construction(
@@ -239,9 +263,7 @@ def product_construction(
     b = base.b
     if b < 2:
         raise ParameterError("product construction needs base modulus >= 2")
-    k = 0
-    while b ** (k + 1) <= n:
-        k += 1
+    k = product_exponent(b, n)
     if k == 0:
         raise ParameterError(f"n={n} is below the base modulus {b}")
     digits = np.array(sorted(base.points.points()), dtype=np.int64)
@@ -258,54 +280,57 @@ def product_construction(
     out = GridSet.from_arrays(xs, ys, grid(n))
     if len(out) != len(base) ** k:
         raise FalsificationError("digit tuples collided; product size wrong")
-    if verify or (verify is None and n <= 64):
+    if product_verification(n, verify) == EXHAUSTIVE:
         w = find_skew_corner(out)
         if w is not None:
             raise FalsificationError(f"product construction not free: {w}")
     return out
 
 
+def free_verification(a: GridSet) -> str:
+    """How `verify_free` checks `a`: exhaustively when the column-pair work
+    sum_x |A_x|^2 is at most VERIFY_EXHAUSTIVE_MAX, otherwise by sampling."""
+    sizes = a.column_sizes()
+    work = int((sizes * sizes).sum())
+    return EXHAUSTIVE if work <= VERIFY_EXHAUSTIVE_MAX else SAMPLED
+
+
 def verify_free(a: GridSet, probes: int = 10**6, seed: int = 0) -> bool:
-    """Freeness check sized to the input: exhaustive when the column-pair
-    work is small, otherwise `probes` random pair probes.
+    """Freeness check sized to the input (see `free_verification`):
+    exhaustive when the column-pair work is small, otherwise `probes`
+    random pair probes.
 
     Returns True when no witness was found; a found witness raises
     FalsificationError (constructions are proven free, so this is a bug
     or a falsification, never a routine outcome).
     """
-    sizes = a.column_sizes()
-    pair_work = int((sizes.astype(np.int64) ** 2).sum())
-    if pair_work <= 20_000_000:
+    if free_verification(a) == EXHAUSTIVE:
         w = find_skew_corner(a)
         if w is not None:
             raise FalsificationError(f"construction contains a skew corner: {w}")
         return True
-    rng = np.random.default_rng(seed)
-    lo = a.ambient.lo
-    cols = [np.asarray(c, dtype=np.int64) for c in a.columns]
+    sizes = a.column_sizes()
     rich = np.flatnonzero(sizes >= 2)
     if rich.size == 0:
         return True
+    rng = np.random.default_rng(seed)
     weights = sizes[rich] ** 2
     pick = rng.choice(rich, size=probes, p=weights / weights.sum())
-    occ = sizes > 0
-    size = a.ambient.size
-    on_torus = a.ambient.kind == "torus"
-    for i in np.unique(pick):
-        reps = int((pick == i).sum())
-        ys = cols[i]
-        j1 = rng.integers(0, len(ys), size=reps)
-        j2 = rng.integers(0, len(ys), size=reps)
-        d = ys[j2] - ys[j1]
-        d = d[d != 0]
-        targets = (i + d) % size if on_torus else i + d
-        if not on_torus:
-            targets = targets[(targets >= 0) & (targets < size)]
-        if targets.size and occ[targets].any():
-            t = int(targets[occ[targets]][0])
+    reps = dict(zip(*(v.tolist() for v in np.unique(pick, return_counts=True))))
+
+    def draw(i: int, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        if i not in reps:
+            return None
+        return rng.integers(0, k, size=reps[i]), rng.integers(0, k, size=reps[i])
+
+    occ = np.append(sizes > 0, False)
+    lo = a.ambient.lo
+    for i, _, d, t in pair_targets(a, draw):
+        hit = occ[t] & (d != 0)
+        if hit.any():
             raise FalsificationError(
                 f"construction contains a skew corner through columns "
-                f"{i + lo} and {t + lo}"
+                f"{i + lo} and {int(t[hit][0]) + lo}"
             )
     return True
 
@@ -319,20 +344,25 @@ class GrowthRow:
     params: SphereParams
 
 
+def fitted_c(n: int, size: int) -> float:
+    """The exponent c in size = n^2 2^(-c sqrt(log2 n)):
+    (2 log2 n - log2 size) / sqrt(log2 n)."""
+    lg = math.log2(n)
+    return (2 * lg - math.log2(size)) / math.sqrt(lg)
+
+
 def growth_table(n_list: Iterable[int], bi: bool = False) -> list[GrowthRow]:
-    """Run the sphere construction over `n_list` and fit the exponent:
-    fitted_c = (2 log2 n - log2 size) / sqrt(log2 n)."""
+    """Run the sphere construction over `n_list` and fit the exponent
+    (see `fitted_c`)."""
     rows = []
     build = bi_sphere_construction if bi else sphere_construction
     for n in n_list:
         a, params = build(n)
         size = len(a)
-        lg = math.log2(n)
-        fitted_c = (2 * lg - math.log2(size)) / math.sqrt(lg)
         rows.append(
             GrowthRow(
                 n=n, size=size, density=size / n**2,
-                fitted_c=fitted_c, params=params,
+                fitted_c=fitted_c(n, size), params=params,
             )
         )
     return rows

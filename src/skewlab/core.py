@@ -1,13 +1,17 @@
 """Ambient spaces, the immutable point-set model, and its symmetry operations.
 
 Grids [n]^2 use 1-based coordinates in [1, n]; tori (Z/NZ)^2 use residues
-in [0, N-1].  Points are stored column-wise (one sorted y-list per x) since
-every algorithm in the package iterates over vertical slices.
+in [0, N-1].  Points are stored column-wise, since every algorithm in the
+package iterates over vertical slices: a GridSet keeps compressed sparse
+rows, one offsets array with an entry per column boundary and one array of
+y-values sorted within each column.  This module is the only one that
+knows that layout; the others go through `column`, `column_sizes`,
+`nonempty_columns`, `points` and `indicator_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -65,62 +69,86 @@ class Witness:
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet:
     """An immutable finite point set in a grid or torus ambient.
 
-    `columns[i]` is the sorted, duplicate-free tuple of y-coordinates in
-    column x = i + lo.  Safe to share between threads; all operations on it
-    are pure.
+    Stored in compressed sparse rows: column x = i + lo holds the y-values
+    `ys[offsets[i]:offsets[i + 1]]`, sorted and duplicate-free, so
+    `offsets` has size + 1 entries starting at 0.  Both arrays are int64
+    and read-only: sets are hashed and shared between callers, and a write
+    through a column view would change a set behind its hash.  Safe to
+    share between threads; all operations on it are pure.
     """
 
     ambient: Ambient
-    columns: tuple[tuple[int, ...], ...]
-    count: int = field(default=-1)
+    offsets: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.columns) != self.ambient.size:
-            raise CoordinateError(
-                f"expected {self.ambient.size} columns, got {len(self.columns)}"
-            )
-        if self.count < 0:
-            object.__setattr__(self, "count", sum(len(c) for c in self.columns))
+        for name in ("offsets", "ys"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n = self.ambient.size + 1
+        if self.offsets.shape != (n,) or self.offsets[-1] != self.ys.size:
+            raise CoordinateError(f"expected {n} offsets ending at {self.ys.size}")
 
     def __len__(self) -> int:
-        return self.count
+        return int(self.offsets[-1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridSet):
+            return NotImplemented
+        return (
+            self.ambient == other.ambient
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.ys, other.ys)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.offsets.tobytes(), self.ys.tobytes()))
 
     def __contains__(self, point: tuple[int, int]) -> bool:
         x, y = point
         if not (self.ambient.in_range(x) and self.ambient.in_range(y)):
             return False
-        col = self.columns[x - self.ambient.lo]
-        i = np.searchsorted(col, y) if col else 0
-        return bool(col and i < len(col) and col[i] == y)
+        col = self._slice(x - self.ambient.lo)
+        i = int(np.searchsorted(col, y))
+        return bool(i < col.size and col[i] == y)
+
+    def _slice(self, i: int) -> np.ndarray:
+        return self.ys[self.offsets[i] : self.offsets[i + 1]]
 
     def column(self, x: int) -> tuple[int, ...]:
         """Vertical slice at x, in ambient coordinates."""
-        return self.columns[x - self.ambient.lo]
+        return tuple(self._slice(x - self.ambient.lo).tolist())
+
+    def nonempty_columns(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, ys) for every nonempty column x = i + lo, in increasing x;
+        `ys` is the column's read-only sorted y-values."""
+        for i in np.flatnonzero(np.diff(self.offsets)).tolist():
+            yield i, self._slice(i)
+
+    def _column_index(self) -> np.ndarray:
+        """Column index x - lo of every point, aligned with `ys`."""
+        return np.repeat(np.arange(self.ambient.size), self.column_sizes())
 
     def points(self) -> Iterator[tuple[int, int]]:
-        lo = self.ambient.lo
-        for i, col in enumerate(self.columns):
-            for y in col:
-                yield (i + lo, y)
+        xs = self._column_index() + self.ambient.lo
+        return zip(xs.tolist(), self.ys.tolist())
 
     def column_sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.columns], dtype=np.int64)
+        return np.diff(self.offsets)
 
     @property
     def density(self) -> float:
-        return self.count / self.ambient.size**2
+        return len(self) / self.ambient.size**2
 
     def indicator_matrix(self, dtype=np.float64) -> np.ndarray:
         """Size x size matrix M with M[x - lo, y - lo] = 1 on points."""
-        lo = self.ambient.lo
         m = np.zeros((self.ambient.size, self.ambient.size), dtype=dtype)
-        for i, col in enumerate(self.columns):
-            if col:
-                m[i, np.asarray(col) - lo] = 1
+        m[self._column_index(), self.ys - self.ambient.lo] = 1
         return m
 
     @staticmethod
@@ -128,31 +156,30 @@ class GridSet:
         """Fast constructor from coordinate arrays (validated, deduplicated)."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        if xs.size:
-            bad = (
-                (xs < ambient.lo) | (xs > ambient.hi)
-                | (ys < ambient.lo) | (ys > ambient.hi)
-            )
-            if bad.any():
-                j = int(np.flatnonzero(bad)[0])
-                raise CoordinateError(
-                    f"point ({xs[j]}, {ys[j]}) outside {ambient}"
-                )
-        order = np.lexsort((ys, xs))
-        xs, ys = xs[order], ys[order]
-        if xs.size:
-            keep = np.ones(xs.size, dtype=bool)
-            keep[1:] = (np.diff(xs) != 0) | (np.diff(ys) != 0)
-            xs, ys = xs[keep], ys[keep]
-        cols: list[tuple[int, ...]] = []
-        lo = ambient.lo
-        starts = np.searchsorted(xs, np.arange(lo, lo + ambient.size + 1))
-        for i in range(ambient.size):
-            cols.append(tuple(int(v) for v in ys[starts[i]:starts[i + 1]]))
-        return GridSet(ambient, tuple(cols))
+        bad = (
+            (xs < ambient.lo) | (xs > ambient.hi)
+            | (ys < ambient.lo) | (ys > ambient.hi)
+        )
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            raise CoordinateError(f"point ({xs[j]}, {ys[j]}) outside {ambient}")
+        return _build(ambient, xs - ambient.lo, ys)
 
     def __repr__(self) -> str:
-        return f"GridSet({self.ambient}, {self.count} points)"
+        return f"GridSet({self.ambient}, {len(self)} points)"
+
+
+def _build(ambient: Ambient, cols: np.ndarray, ys: np.ndarray) -> GridSet:
+    """GridSet from in-range column indices x - lo and y-values, in any
+    order and with repeats."""
+    size = ambient.size
+    key = np.sort(cols * size + (ys - ambient.lo))
+    fresh = np.ones(key.size, dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    cols, ys = np.divmod(key[fresh], size)
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=size), out=offsets[1:])
+    return GridSet(ambient, offsets, ys + ambient.lo)
 
 
 def make_grid_set(points: Iterable[tuple[int, int]], ambient: Ambient) -> GridSet:
@@ -160,12 +187,8 @@ def make_grid_set(points: Iterable[tuple[int, int]], ambient: Ambient) -> GridSe
 
     Raises CoordinateError naming the first out-of-range point.
     """
-    pts = list(points)
-    if not pts:
-        return GridSet(ambient, tuple(() for _ in range(ambient.size)))
-    xs = np.array([p[0] for p in pts], dtype=np.int64)
-    ys = np.array([p[1] for p in pts], dtype=np.int64)
-    return GridSet.from_arrays(xs, ys, ambient)
+    xy = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+    return GridSet.from_arrays(xy[:, 0], xy[:, 1], ambient)
 
 
 def embed_torus(a: GridSet) -> GridSet:
@@ -178,11 +201,9 @@ def embed_torus(a: GridSet) -> GridSet:
     if a.ambient.kind != GRID:
         raise ParameterError("embed_torus expects a grid-ambient set")
     n = a.ambient.size
-    amb = torus(2 * n)
-    cols = [()] * (2 * n)
-    for i, col in enumerate(a.columns):
-        cols[i + 1] = col  # grid x = i+1 used directly as a residue
-    return GridSet(amb, tuple(cols), a.count)
+    # grid column x = i + 1 becomes residue x; residues n+1..2n-1 are empty
+    offsets = np.concatenate(([0], a.offsets, np.full(n - 1, len(a))))
+    return GridSet(torus(2 * n), offsets, a.ys)
 
 
 TranslationMap = Union[int, Mapping[int, int], Sequence[int], Callable[[int], int]]
@@ -202,29 +223,25 @@ def translate(a: GridSet, h: int, v: TranslationMap) -> GridSet:
     """Torus translation (x, y) -> (x + h, y + v(x)) mod N.
 
     `v` gives an independent vertical shift per column (int for a uniform
-    shift, or a mapping/sequence/callable keyed by the column x).  These are
-    exactly the symmetries under which skew-corner-freeness is invariant.
+    shift, or a mapping/sequence/callable keyed by the column x, consulted
+    for the nonempty columns only).  These are exactly the symmetries under
+    which skew-corner-freeness is invariant.
     """
     if a.ambient.kind != TORUS:
         raise ParameterError("translate expects a torus-ambient set")
     N = a.ambient.size
-    cols: list[tuple[int, ...]] = [()] * N
-    for i, col in enumerate(a.columns):
-        if not col:
-            continue
-        s = _shift_of(v, i) % N
-        cols[(i + h) % N] = tuple(sorted((y + s) % N for y in col))
-    return GridSet(a.ambient, tuple(cols), a.count)
+    sizes = a.column_sizes()
+    nonempty = np.flatnonzero(sizes)
+    shifts = np.array([_shift_of(v, x) % N for x in nonempty.tolist()], dtype=np.int64)
+    xs = np.repeat((nonempty + h % N) % N, sizes[nonempty])
+    ys = (a.ys + np.repeat(shifts, sizes[nonempty])) % N
+    return _build(a.ambient, xs, ys)
 
 
 def transpose(a: GridSet) -> GridSet:
     """Reflect (x, y) -> (y, x).  An involution; preserves cardinality."""
     lo = a.ambient.lo
-    cols: list[list[int]] = [[] for _ in range(a.ambient.size)]
-    for i, col in enumerate(a.columns):
-        for y in col:
-            cols[y - lo].append(i + lo)
-    return GridSet(a.ambient, tuple(tuple(c) for c in cols), a.count)
+    return _build(a.ambient, a.ys - lo, a._column_index() + lo)
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +273,26 @@ def loads_skewset(text: str) -> GridSet:
     except ValueError as exc:
         raise FormatError(f"bad ambient size in {lines[1]!r}") from exc
     pts: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for ln in lines[2:]:
         toks = ln.split()
         if len(toks) != 2:
             raise FormatError(f"bad point line {ln!r}")
         try:
-            p = (int(toks[0]), int(toks[1]))
+            pts.append((int(toks[0]), int(toks[1])))
         except ValueError as exc:
             raise FormatError(f"bad point line {ln!r}") from exc
-        if not (amb.in_range(p[0]) and amb.in_range(p[1])):
-            raise CoordinateError(f"point {p} outside {amb}")
-        if p in seen:
-            raise FormatError(f"duplicate point {p}")
-        seen.add(p)
-        pts.append(p)
-    return make_grid_set(pts, amb)
+    try:
+        a = make_grid_set(pts, amb)
+    except OverflowError:  # beyond int64, so certainly outside the ambient
+        p = next(p for p in pts if not (amb.in_range(p[0]) and amb.in_range(p[1])))
+        raise CoordinateError(f"point {p} outside {amb}") from None
+    if len(a) < len(pts):  # some point repeats: name its first repeat
+        seen: set[tuple[int, int]] = set()
+        for p in pts:
+            if p in seen:
+                raise FormatError(f"duplicate point {p}")
+            seen.add(p)
+    return a
 
 
 def load_skewset(path: str | Path) -> GridSet:

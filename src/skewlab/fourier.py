@@ -183,17 +183,10 @@ def balanced_function(a: GridSet) -> TwoDFunction:
     by their density alpha = |A|/n^2 on the [n]^2 block; torus sets are
     corrected by alpha = |A|/N^2 everywhere.
     """
-    if a.ambient.kind == GRID:
-        n = a.ambient.size
-        _check_spectral_side(2 * n)
-        alpha = len(a) / n**2
-        emb = embed_torus(a)
-        vals = emb.indicator_matrix()
-        vals[1 : n + 1, 1 : n + 1] -= alpha
-        return TwoDFunction(2 * n, vals)
-    _check_spectral_side(a.ambient.size)
-    alpha = len(a) / a.ambient.size**2
-    return TwoDFunction(a.ambient.size, a.indicator_matrix() - alpha)
+    n, lo = a.ambient.size, a.ambient.lo
+    f = TwoDFunction.indicator(a)
+    f.values[lo : lo + n, lo : lo + n] -= len(a) / n**2
+    return f
 
 
 def lambda_form(
@@ -258,8 +251,7 @@ def check_gvn(a: GridSet, tol: float = DEFAULT_TOL) -> GvnReport:
     N = a.ambient.size
     alpha = len(a) / N**2
     lam = count_skew_corners_fft(a).total / N**4
-    marg = a.column_sizes() / N - alpha
-    coeffs = np.abs(np.fft.fft(marg)) / N
+    coeffs = marginal_spectrum(a)
     eta = float(coeffs[1:].max()) if N > 1 else 0.0
     rhs = alpha**3 - alpha * eta
     holds = lam >= rhs - tol
@@ -276,21 +268,36 @@ def check_gvn(a: GridSet, tol: float = DEFAULT_TOL) -> GvnReport:
     )
 
 
-def _dichotomy_pieces(a: GridSet) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """alpha, N, |S(f_A)^ coefficients|, and the per-frequency averages
-    E_x |normalized-row-hat| * |row-hat| for a grid set on its torus."""
-    if a.ambient.kind != GRID:
-        raise ParameterError("expected a grid-ambient set")
+def marginal_spectrum(a: GridSet) -> np.ndarray:
+    """|coefficients| of the column marginal x -> E_y f_A(x, y) of the
+    balanced function f_A (see `balanced_function`), on the torus of a
+    torus set or of an embedded grid set.
+
+    The marginal is |A_x|/N minus the correction alpha n/N on the n columns
+    of the set's own ambient, so it comes from the column sizes alone.
+    """
     n = a.ambient.size
-    N = 2 * n
-    alpha = len(a) / n**2
+    t = embed_torus(a) if a.ambient.kind == GRID else a
+    N = t.ambient.size
+    marg = t.column_sizes() / N
+    marg[a.ambient.lo : a.ambient.lo + n] -= len(a) / (n * N)
+    return np.abs(np.fft.fft(marg)) / N
+
+
+def cross_spectrum(a: GridSet) -> np.ndarray:
+    """Per-frequency averages E_x |row-hat| |normalized-row-hat| of a torus
+    set or an embedded grid set, the normalized row being scaled to unit
+    L1 average (see `column_normalized`).
+
+    That scaling divides a row by its mass |A_x|/N, so each product is
+    |row-hat|^2 N/|A_x| and one row transform serves both factors; empty
+    columns contribute nothing.
+    """
     ind = TwoDFunction.indicator(a)
-    fa = balanced_function(a)
-    sfa_hat = np.abs(np.fft.fft(column_marginal(fa))) / N
-    rows = row_transforms(ind)
-    tilde_rows = row_transforms(column_normalized(ind))
-    cross = (np.abs(tilde_rows) * np.abs(rows)).mean(axis=0)
-    return alpha, N, sfa_hat, cross
+    mass = ind.values.mean(axis=1)  # |A_x| / N
+    nonempty = mass > 0
+    power = np.abs(row_transforms(ind)[nonempty]) ** 2
+    return (power / mass[nonempty, None]).sum(axis=0) / ind.modulus
 
 
 @dataclass(frozen=True)
@@ -305,11 +312,23 @@ class DichotomyReport:
 def dichotomy_report(a: GridSet, tol: float = DEFAULT_TOL) -> DichotomyReport:
     """For a skew-corner-free grid set: either the density is at most 8/n, or
     the weighted nontrivial spectral mass reaches alpha^2/64."""
+    return _dichotomy(a, tol)[0]
+
+
+def _dichotomy(
+    a: GridSet, tol: float
+) -> tuple[DichotomyReport, np.ndarray, np.ndarray]:
+    """`dichotomy_report` together with the marginal and cross spectra it
+    was computed from."""
     if find_skew_corner(a) is not None:
         raise ParameterError("dichotomy_report needs a skew-corner-free input")
+    if a.ambient.kind != GRID:
+        raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
-    alpha, _, sfa_hat, cross = _dichotomy_pieces(a)
-    lhs = float((sfa_hat[1:] * cross[1:]).sum())
+    alpha = len(a) / n**2
+    spectrum = marginal_spectrum(a)
+    cross = cross_spectrum(a)
+    lhs = float((spectrum[1:] * cross[1:]).sum())
     thr_i = 8.0 / n
     thr_ii = alpha**2 / 64
     if alpha <= thr_i:
@@ -326,7 +345,7 @@ def dichotomy_report(a: GridSet, tol: float = DEFAULT_TOL) -> DichotomyReport:
         branch=branch,
         small_density_threshold=thr_i,
         mass_threshold=thr_ii,
-    )
+    ), spectrum, cross
 
 
 @dataclass(frozen=True)
@@ -343,18 +362,12 @@ def parseval_bound(a: GridSet) -> ParsevalReport:
     The full-spectrum sum collapses, one unit per nonempty column, to
     (#nonempty columns)/N; the nontrivial part is therefore at most 1.
     """
-    if a.ambient.kind == GRID:
-        a = embed_torus(a)
-    N = a.ambient.size
-    ind = TwoDFunction.indicator(a)
-    rows = row_transforms(ind)
-    tilde_rows = row_transforms(column_normalized(ind))
-    cross = (np.abs(tilde_rows) * np.abs(rows)).mean(axis=0)
+    cross = cross_spectrum(a)
     return ParsevalReport(
         full_sum=float(cross.sum()),
         nontrivial_sum=float(cross[1:].sum()),
         nonempty_columns=int((a.column_sizes() > 0).sum()),
-        modulus=N,
+        modulus=len(cross),
     )
 
 
@@ -502,6 +515,18 @@ def annihilation_check(
     )
 
 
+def _dirichlet_progression(
+    gamma_set: CharacterSet, alpha: float, n: int
+) -> Progression:
+    """q, 2q, ..., length q with length max(1, floor((alpha n)^(1/(m+1))/6))
+    and q from the rational-approximation scan of the m frequencies."""
+    m = len(gamma_set)
+    length = max(1, int((alpha * n) ** (1 / (m + 1)) / 6 + 1e-12))
+    thetas = [Fraction(a, gamma_set.modulus) for a in gamma_set.frequencies]
+    q = dirichlet(thetas, (6 * length) ** m)
+    return Progression(start=q, difference=q, length=length)
+
+
 def annihilating_progression(
     gamma_set: CharacterSet, alpha: float, n: int
 ) -> Optional[Progression]:
@@ -518,13 +543,7 @@ def annihilating_progression(
         raise ParameterError("alpha must lie in (0, 1]")
     if alpha * n < 6 ** (m + 1):
         return None
-    length = int((alpha * n) ** (1 / (m + 1)) / 6 + 1e-12)
-    length = max(length, 1)
-    Q = (6 * length) ** m
-    N = gamma_set.modulus
-    thetas = [Fraction(a, N) for a in gamma_set.frequencies]
-    q = dirichlet(thetas, Q)
-    prog = Progression(start=q, difference=q, length=length)
+    prog = _dirichlet_progression(gamma_set, alpha, n)
     if prog.span > alpha * n + 1e-9 or prog.last > n:
         raise FalsificationError(
             f"progression span {prog.span} exceeds alpha n = {alpha * n}"

@@ -27,15 +27,13 @@ from .fourier import (
     AnalysisConfig,
     CharacterSet,
     Progression,
-    TwoDFunction,
     _check_spectral_side,
+    _dichotomy,
+    _dirichlet_progression,
     annihilating_progression,
-    balanced_function,
-    column_marginal,
-    column_normalized,
-    dichotomy_report,
+    cross_spectrum,
     dirichlet,
-    row_transforms,
+    marginal_spectrum,
     technical_select,
 )
 from .verify import count_corners, count_skew_corners_fft, find_skew_corner
@@ -137,20 +135,6 @@ def _check_extraction_free(a: GridSet, extracted: GridSet) -> None:
         raise FalsificationError(f"extracted set contains a skew corner: {w}")
 
 
-def _marginal_spectrum(a: GridSet) -> np.ndarray:
-    """|coefficients| of the column marginal of the balanced function."""
-    fa = balanced_function(a)
-    return np.abs(np.fft.fft(column_marginal(fa))) / fa.modulus
-
-
-def _cross_spectrum(a: GridSet) -> np.ndarray:
-    """Per-frequency averages E_x of |row-hat| x |normalized-row-hat|."""
-    ind = TwoDFunction.indicator(a)
-    rows = row_transforms(ind)
-    tilde = row_transforms(column_normalized(ind))
-    return (np.abs(tilde) * np.abs(rows)).mean(axis=0)
-
-
 def _top_frequencies(weights: np.ndarray, m: int) -> tuple[int, ...]:
     """The m nontrivial frequencies with the largest weights (ties to the
     smaller frequency)."""
@@ -201,7 +185,6 @@ def pigeonhole_square(
             raise ParameterError(f"point ({x}, {y}) outside the progression band")
         along.append(v)
     base_density = len(along) / (p.length * n)
-    counts = np.asarray(along, dtype=np.int64)
     best = (-1, None)
     for start in range(1, n - (p.length - 1) * p.difference + 1):
         shifted = p.shifted(start - p.start)
@@ -230,12 +213,17 @@ def vertical_linfty_increment(
     `gamma`, so some block of an approximating progression carries density
     at least (1 + 3 c') alpha.  Applies to any grid set; freeness is not
     needed because nothing is extracted here."""
+    return _vertical_linfty(a, gamma, marginal_spectrum(a), config)
+
+
+def _vertical_linfty(
+    a: GridSet, gamma: int, spectrum: np.ndarray, config: AnalysisConfig
+) -> BlockIncrement:
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
     N = 2 * n
     alpha = len(a) / n**2
-    spectrum = _marginal_spectrum(a)
     if not 1 <= gamma <= N - 1:
         raise ParameterError(f"gamma={gamma} is not a nontrivial frequency")
     if spectrum[gamma] < 4 * config.c_prime * alpha - config.tolerance:
@@ -277,20 +265,14 @@ def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncremen
 def _column_extract(a: GridSet, p: Progression) -> tuple[int, GridSet, int]:
     """Best horizontal shift: restrict the shifted set to the columns of p.
     Returns (shift, extracted set in P x [n], point count)."""
-    n = a.ambient.size
-    N = 2 * n
-    sizes = np.zeros(N, dtype=np.int64)
-    sizes[1 : n + 1] = a.column_sizes()
+    t = embed_torus(a)
+    N = t.ambient.size
+    sizes = t.column_sizes()
     cols = np.asarray(p.elements(), dtype=np.int64)
     scores = [int(sizes[(cols + y) % N].sum()) for y in range(N)]
     shift = int(np.argmax(scores))
-    pts = []
-    for x in p.elements():
-        src = (x + shift) % N
-        if 1 <= src <= n:
-            for y in a.column(src):
-                pts.append((x, y))
-    return shift, make_grid_set(pts, grid(n)), len(pts)
+    pts = [(x, y) for x in p.elements() for y in t.column((x + shift) % N)]
+    return shift, make_grid_set(pts, a.ambient), len(pts)
 
 
 def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, int]:
@@ -323,13 +305,18 @@ def vertical_l2_increment(
     Horizontal shifts preserve freeness, so for free inputs the extracted
     set is free again (enforced); non-free inputs are allowed and skip that
     check."""
+    return _vertical_l2(a, marginal_spectrum(a), config)
+
+
+def _vertical_l2(
+    a: GridSet, spectrum: np.ndarray, config: AnalysisConfig
+) -> Optional[ProgressionIncrement]:
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
     alpha = len(a) / n**2
     if alpha == 0:
         return None
-    spectrum = _marginal_spectrum(a)
     if float((spectrum[1:] ** 2.5).sum()) < (config.C * alpha) ** 2.5:
         return None
     weights = spectrum**2
@@ -363,13 +350,18 @@ def horizontal_increment(
 
     Per-column vertical shifts preserve freeness, so for free inputs the
     extracted set is free again (enforced)."""
+    return _horizontal(a, cross_spectrum(a), config)
+
+
+def _horizontal(
+    a: GridSet, cross: np.ndarray, config: AnalysisConfig
+) -> Optional[ProgressionIncrement]:
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
     alpha = len(a) / n**2
     if alpha == 0:
         return None
-    cross = _cross_spectrum(a)
     if float((cross[1:] ** 1.5).sum()) < (config.C * alpha) ** 1.5:
         return None
     b = np.sort(cross[1:])[::-1]
@@ -395,14 +387,14 @@ def horizontal_increment(
 # Full step
 # ---------------------------------------------------------------------------
 
-def _rename_subsquare(
-    points: list[tuple[int, int]], cols: Progression, rows: Progression
-) -> GridSet:
-    out = []
-    for x, y in points:
-        i = (x - cols.start) // cols.difference
-        j = (y - rows.start) // rows.difference
-        out.append((i + 1, j + 1))
+def _rename_subsquare(a: GridSet, cols: Progression, rows: Progression) -> GridSet:
+    """The points of `a` in cols x rows, renamed into [cols.length]^2."""
+    xs, ys = cols.elements(), rows.elements()
+    out = [
+        (xs.index(x) + 1, ys.index(y) + 1)
+        for x, y in a.points()
+        if x in xs and y in ys
+    ]
     return make_grid_set(out, grid(cols.length))
 
 
@@ -420,10 +412,7 @@ def _subsquare_outcome(
     n = a.ambient.size
     ph = pigeonhole_square(band, p, axis=axis)
     cols, rows = (p, ph.translate) if axis == "columns" else (ph.translate, p)
-    colset = set(cols.elements())
-    rowset = set(rows.elements())
-    inside = [(x, y) for x, y in band.points() if x in colset and y in rowset]
-    renamed = _rename_subsquare(inside, cols, rows)
+    renamed = _rename_subsquare(band, cols, rows)
     w = find_skew_corner(renamed)
     if w is not None:
         raise FalsificationError(
@@ -465,8 +454,7 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
     """
     n = a.ambient.size
     mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for x, y in a.points():
-        mat[x, y] = 1
+    mat[1:, 1:] = a.indicator_matrix(dtype=np.int64)
     pref = mat.cumsum(axis=0).cumsum(axis=1)
     if n <= 128:
         lengths = range(2, n + 1)
@@ -484,12 +472,7 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
         count, sx, sy = int(win[sx, sy]), int(sx) + 1, int(sy) + 1
         cols = Progression(start=sx, difference=1, length=L)
         rows = Progression(start=sy, difference=1, length=L)
-        inside = [
-            (x, y)
-            for x, y in a.points()
-            if sx <= x < sx + L and sy <= y < sy + L
-        ]
-        renamed = _rename_subsquare(inside, cols, rows)
+        renamed = _rename_subsquare(a, cols, rows)
         out.append(
             IncrementOutcome(
                 variant=SUBSQUARE,
@@ -506,22 +489,6 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
             )
         )
     return out
-
-
-def _relaxed_progression(
-    gamma_set: CharacterSet, alpha: float, n: int
-) -> Optional[Progression]:
-    """Annihilating progression with the small-density guard bypassed and
-    the length clamped to >= 1 (best-effort use).  Annihilation itself still
-    holds by construction; a progression leaving [n] is reported as None."""
-    m = len(gamma_set)
-    length = max(1, int((alpha * n) ** (1 / (m + 1)) / 6 + 1e-12))
-    Q = (6 * length) ** m
-    thetas = [Fraction(f, gamma_set.modulus) for f in gamma_set.frequencies]
-    q = dirichlet(thetas, Q)
-    if q * length > n:
-        return None
-    return Progression(start=q, difference=q, length=length)
 
 
 def increment_step(
@@ -557,17 +524,17 @@ def _guaranteed_step(
     n = a.ambient.size
     if alpha <= 8 / n:
         return _small_density(alpha, n, "alpha <= 8/n")
-    dichotomy_report(a, config.tolerance)  # falsification check; must pass
+    # the dichotomy is a falsification check that must pass; its spectra
+    # then select the route
+    _, spectrum, cross = _dichotomy(a, config.tolerance)
     c_p = config.c_prime
-    spectrum = _marginal_spectrum(a)
-    cross = _cross_spectrum(a)
     horiz_mass = float((cross[1:] ** 1.5).sum())
     vert_mass = float((spectrum[1:] ** 2.5).sum())
     max_coeff = float(spectrum[1:].max())
     gamma_max = _top_frequencies(spectrum, 1)[0]
 
     if horiz_mass >= (config.C * alpha) ** 1.5:
-        res = horizontal_increment(a, config)
+        res = _horizontal(a, cross, config)
         if res.small_density:
             return _small_density(alpha, n, "alpha n below the progression guard")
         m = len(res.gamma_set)
@@ -582,7 +549,7 @@ def _guaranteed_step(
         )
         floor = (1 + c_p) * m ** (1 / 6) * alpha
     elif vert_mass >= (config.C * alpha) ** 2.5:
-        res = vertical_l2_increment(a, config)
+        res = _vertical_l2(a, spectrum, config)
         if res.small_density:
             return _small_density(alpha, n, "alpha n below the progression guard")
         m = len(res.gamma_set)
@@ -597,7 +564,7 @@ def _guaranteed_step(
         )
         floor = (1 + c_p) * m ** (1 / 6) * alpha
     elif max_coeff >= 4 * c_p * alpha:
-        res = vertical_linfty_increment(a, gamma_max, config)
+        res = _vertical_linfty(a, gamma_max, spectrum, config)
         if res.small_density:
             return _small_density(alpha, n, "alpha below the block guard")
         band = _band_of_progression(a, res.progression)
@@ -623,8 +590,8 @@ def _best_effort_step(
 ) -> IncrementOutcome:
     n = a.ambient.size
     candidates = _scan_candidates(a, alpha)
-    spectrum = _marginal_spectrum(a)
-    cross = _cross_spectrum(a)
+    spectrum = marginal_spectrum(a)
+    cross = cross_spectrum(a)
 
     # dominant-coefficient blocks
     if len(spectrum) > 1 and spectrum[1:].max() > 0:
@@ -644,21 +611,20 @@ def _best_effort_step(
     for m in (1, 2, 3):
         if m > 2 * n - 1:
             break
-        for weights, axis, branch in (
-            (spectrum**2, "columns", "iii"),
-            (cross, "rows", "iv"),
+        for weights, axis, branch, extract in (
+            (spectrum**2, "columns", "iii", _column_extract),
+            (cross, "rows", "iv", _row_extract),
         ):
             freqs = _top_frequencies(weights, m)
             if len(freqs) < m or weights[list(freqs)].max() <= 0:
                 continue
             gamma_set = CharacterSet(2 * n, freqs)
-            prog = _relaxed_progression(gamma_set, alpha, n)
-            if prog is None:
+            # the small-density guard is relaxed, but the progression must
+            # still fit in [n]
+            prog = _dirichlet_progression(gamma_set, alpha, n)
+            if prog.span > n:
                 continue
-            if axis == "columns":
-                _, extracted, count = _column_extract(a, prog)
-            else:
-                _, extracted, count = _row_extract(a, prog)
+            _, extracted, count = extract(a, prog)
             if count == 0:
                 continue
             candidates.append(

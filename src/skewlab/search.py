@@ -227,11 +227,9 @@ def max_skew_corner_free(
         exhausted = True
 
     lo = ambient.lo
-    pts = []
-    if best_masks is not None:
-        for p, s in enumerate(best_masks):
-            for b in _mask_bits(s):
-                pts.append((p + lo, b + lo))
+    pts = [
+        (p + lo, b + lo) for p, s in enumerate(best_masks or ()) for b in _mask_bits(s)
+    ]
     witness = make_grid_set(pts, ambient)
     return SearchResult(
         ambient=ambient,

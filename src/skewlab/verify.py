@@ -9,7 +9,7 @@ indicator; on a grid all arithmetic stays in Z (no wraparound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -37,35 +37,59 @@ class CornerCount:
         return self.trivial + self.nontrivial
 
 
-def find_skew_corner(a: GridSet) -> Optional[Witness]:
-    """Return a nontrivial skew-corner witness, or None if the set is free.
+PairDraw = Callable[[int, int], Optional[tuple[np.ndarray, np.ndarray]]]
 
-    For each nonempty column x, every nonzero difference d of a pair in the
-    column is checked against the occupancy of column x+d.
+
+def pair_targets(
+    a: GridSet, draw: Optional[PairDraw] = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Map the pair differences of each column to the column they point at.
+
+    Walks the columns x = i + lo holding at least two points (a lone point
+    has only the trivial pair d = 0) and yields (i, ys, d, t).  `d` holds
+    the differences ys[j2] - ys[j1], over all position pairs as a k x k
+    array, or over the pairs (j1, j2) that `draw(i, k)` returns, skipping
+    the column when it returns None.  `t` holds the index of column x + d,
+    wrapped on a torus and -1 where x + d leaves the grid, so it can index
+    a per-column array padded with one trailing "no column" entry.
     """
     size = a.ambient.size
     on_torus = a.ambient.kind == TORUS
-    lo = a.ambient.lo
-    occ = a.column_sizes() > 0
-    for i, col in enumerate(a.columns):
-        k = len(col)
-        if k < 2:
+    for i, ys in a.nonempty_columns():
+        if ys.size < 2:
             continue
-        ys = np.asarray(col, dtype=np.int64)
-        diffs = ys[None, :] - ys[:, None]  # [j1, j2] -> ys[j2] - ys[j1]
-        if on_torus:
-            targets = (i + diffs) % size
-            hit = occ[targets] & (diffs != 0)
+        if draw is None:
+            d = ys[None, :] - ys[:, None]
         else:
-            targets = i + diffs
-            valid = (targets >= 0) & (targets < size) & (diffs != 0)
-            hit = np.zeros_like(valid)
-            hit[valid] = occ[targets[valid]]
+            pairs = draw(i, ys.size)
+            if pairs is None:
+                continue
+            d = ys[pairs[1]] - ys[pairs[0]]
+        t = i + d
+        if on_torus:
+            t %= size
+        else:
+            t[(t < 0) | (t >= size)] = -1
+        yield i, ys, d, t
+
+
+def find_skew_corner(a: GridSet) -> Optional[Witness]:
+    """Return a nontrivial skew-corner witness, or None if the set is free.
+
+    For each column x, every nonzero difference d of a pair in the column
+    is checked against the occupancy of column x+d.
+    """
+    occ = np.append(a.column_sizes() > 0, False)
+    for i, ys, d, t in pair_targets(a):
+        hit = occ[t] & (d != 0)
         if hit.any():
             j1, j2 = np.unravel_index(int(np.argmax(hit)), hit.shape)
-            d = int(diffs[j1, j2])
-            ti = (i + d) % size if on_torus else i + d
-            return Witness(x=i + lo, y=int(ys[j1]), y_prime=a.columns[ti][0], d=d)
+            return Witness(
+                x=i + a.ambient.lo,
+                y=int(ys[j1]),
+                y_prime=a.column(int(t[j1, j2]) + a.ambient.lo)[0],
+                d=int(d[j1, j2]),
+            )
     return None
 
 
@@ -83,25 +107,12 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
 
     O(sum_x |A_x|^2 + size^2); 64-bit integer arithmetic throughout.
     """
-    size = a.ambient.size
-    on_torus = a.ambient.kind == TORUS
-    sizes = a.column_sizes()
-    trivial = int((sizes * sizes).sum())
-    total = 0
-    for i, col in enumerate(a.columns):
-        k = len(col)
-        if k == 0:
-            continue
-        ys = np.asarray(col, dtype=np.int64)
-        diffs = ys[None, :] - ys[:, None]
-        if on_torus:
-            targets = (i + diffs.ravel()) % size
-            total += int(sizes[targets].sum())
-        else:
-            targets = i + diffs.ravel()
-            ok = (targets >= 0) & (targets < size)
-            total += int(sizes[targets[ok]].sum())
-    return CornerCount(trivial=trivial, nontrivial=total - trivial)
+    sizes = np.append(a.column_sizes(), 0)
+    nontrivial = 0
+    for _, ys, _, t in pair_targets(a):
+        # the k trivial pairs d = 0 each meet their own column of k points
+        nontrivial += int(sizes[t].sum()) - ys.size**2
+    return CornerCount(trivial=int((sizes * sizes).sum()), nontrivial=nontrivial)
 
 
 def count_skew_corners_fft(a: GridSet) -> CornerCount:
@@ -122,7 +133,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
         )
     sizes = a.column_sizes()
     trivial = int((sizes * sizes).sum())
-    if a.count == 0:
+    if len(a) == 0:
         return CornerCount(0, 0)
     m = a.indicator_matrix()
     spec = np.fft.fft(m, axis=1)
@@ -152,8 +163,8 @@ def count_corners(a: GridSet) -> CornerCount:
         raise CapabilityError(
             f"corner counting is cubic in the side; N={N} exceeds 1024"
         )
-    trivial = a.count
-    if a.count == 0:
+    trivial = len(a)
+    if trivial == 0:
         return CornerCount(0, 0)
     m = a.indicator_matrix(dtype=np.int64)
     total = 0

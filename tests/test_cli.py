@@ -114,7 +114,7 @@ def test_growth_csv_columns(capsys):
 
 
 def test_growth_bi_json(capsys):
-    code, out, _ = run_cli(capsys, "growth", "--exps", "10..10", "--bi", "--json")
+    code, out, _ = run_cli(capsys, "growth", "--exps", "10..10", "--bi")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 1 and rows[0]["n"] == 1024
@@ -217,3 +217,26 @@ def test_skewset_roundtrip_through_cli(capsys, tmp_path):
     a = sl.load_skewset(out_path)
     sl.save_skewset(a, out_path)
     assert sl.load_skewset(out_path) == a
+
+
+def test_construct_reports_how_it_verified(capsys, monkeypatch):
+    cases = [
+        (("sphere", "--n", "1024"), "exhaustive"),
+        (("sphere", "--n", "1024", "--no-verify"), "skipped"),
+        (("product", "--n", "36"), "exhaustive"),
+        (("product", "--n", "216"), "skipped"),
+        (("product", "--n", "216", "--force-verify"), "exhaustive"),
+    ]
+    for argv, want in cases:
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verification"] == want, argv
+        assert rep["verified"] is (want == "exhaustive"), argv
+    # above the exhaustive limit the probes still pass a free set, and the
+    # report says they were probes
+    monkeypatch.setattr("skewlab.construct.VERIFY_EXHAUSTIVE_MAX", 0)
+    code, out, _ = run_cli(capsys, "construct", "sphere", "--n", "1024")
+    rep = json.loads(out)
+    assert code == 0 and rep["verified"] is True
+    assert rep["verification"] == "sampled"

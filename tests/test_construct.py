@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
+from skewlab.construct import free_verification
 
 
 def test_freiman_embed_examples():
@@ -189,3 +190,15 @@ def test_dimension_choice_matches_formulas(n):
     assert params.d == d_expect
     assert (2 * params.m) ** params.d <= n
     assert (2 * (params.m + 1)) ** params.d > n
+
+
+def test_verify_free_samples_above_the_exhaustive_limit():
+    # one full column: pair work 4500^2 (+1 with the neighbour) > 2 * 10^7
+    column = [(1, y) for y in range(1, 4501)]
+    with_neighbour = sl.make_grid_set(column + [(2, 1)], sl.grid(4500))
+    assert free_verification(with_neighbour) == "sampled"
+    with pytest.raises(sl.FalsificationError, match="through columns 1 and 2"):
+        sl.verify_free(with_neighbour)
+    alone = sl.make_grid_set(column, sl.grid(4500))
+    assert free_verification(alone) == "sampled"
+    assert sl.verify_free(alone) is True

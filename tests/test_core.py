@@ -100,6 +100,34 @@ def test_transpose_involution_and_size(pts):
     assert sl.transpose(t) == a
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([sl.grid(5), sl.torus(6)]),
+    st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=30),
+)
+def test_grid_set_matches_set_model(amb, pts):
+    pts = [p for p in pts if amb.in_range(p[0]) and amb.in_range(p[1])]
+    model = set(pts)
+    a = sl.make_grid_set(pts, amb)
+    assert len(a) == len(model)
+    assert list(a.points()) == sorted(model)
+    assert all(type(v) is int for p in a.points() for v in p)
+    sizes = a.column_sizes()
+    assert sizes.dtype == np.int64
+    for x in range(amb.lo, amb.hi + 1):
+        col = tuple(sorted(y for u, y in model if u == x))
+        assert a.column(x) == col
+        assert sizes[x - amb.lo] == len(col)
+    for p in itertools.product(range(-1, 8), repeat=2):
+        assert (p in a) == (p in model)
+    same = sl.make_grid_set(list(reversed(pts)) * 2, amb)
+    assert same == a and hash(same) == hash(a)
+    assert sl.loads_skewset(sl.dumps_skewset(a)) == a
+    other = sl.make_grid_set(list(model ^ {(amb.lo, amb.lo)}), amb)
+    assert other != a
+    assert not a.offsets.flags.writeable and not a.ys.flags.writeable
+
+
 def test_skewset_roundtrip(tmp_path, eight_point_set):
     path = tmp_path / "set.txt"
     sl.save_skewset(eight_point_set, path)

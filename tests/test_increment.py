@@ -3,7 +3,7 @@ import pytest
 
 import skewlab as sl
 from conftest import greedy_free_set
-from skewlab.increment import _marginal_spectrum
+from skewlab.fourier import marginal_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_linfty_small_density_guard_at_desk_scale():
         [(x, y) for x in range(1, n // 2 + 1) for y in range(1, n + 1)], sl.grid(n)
     )
     cfg = sl.AnalysisConfig(C=64, c_prime=0.03)
-    spec = _marginal_spectrum(half)
+    spec = marginal_spectrum(half)
     gamma = int(np.argmax(spec[1:]) + 1)
     assert spec[gamma] >= 4 * cfg.c_prime * half.density
     res = sl.vertical_linfty_increment(half, gamma, cfg)
