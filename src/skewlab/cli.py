@@ -36,7 +36,7 @@ from .core import (
     load_skewset,
     save_skewset,
 )
-from .errors import FalsificationError, SkewLabError
+from .errors import FalsificationError, ParameterError, SkewLabError
 from .fourier import (
     AnalysisConfig,
     Progression,
@@ -267,6 +267,8 @@ def _outcome_dict(out) -> dict:
 
 
 def _cmd_increment(args) -> int:
+    if args.iterations < 1:
+        raise ParameterError(f"--iterations must be >= 1, got {args.iterations}")
     a = load_skewset(args.infile)
     config = AnalysisConfig(C=args.C, c_prime=args.cprime)
     mode = args.mode.replace("-", "_")

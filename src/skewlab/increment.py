@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -160,11 +160,26 @@ def _blocks_mod_q(n: int, q: int, length: int) -> list[Progression]:
     return blocks
 
 
+def _shift_scores(w: np.ndarray, p: Progression) -> np.ndarray:
+    """scores[..., s] = sum over e in P of w[..., (e + s) mod len]: the
+    weight the shifted progression P + s collects, for every shift s along
+    the last axis.  Exact integer sums of len(P) shifted copies of w, in
+    O(len(P) * w.size) time and one array of w's shape."""
+    size = w.shape[-1]
+    scores = np.zeros_like(w)
+    for e in p.elements():
+        k = e % size
+        scores[..., : size - k] += w[..., k:]
+        scores[..., size - k :] += w[..., :k]
+    return scores
+
+
 def pigeonhole_square(
     b_set: GridSet, p: Progression, axis: str = "columns"
 ) -> PigeonholeResult:
     """Best translate P' of P making the box P x P' (axis "columns", input
-    inside P x [n]) or P' x P (axis "rows") as dense as possible.
+    inside P x [n]) or P' x P (axis "rows") as dense as possible.  Among
+    equally dense boxes the translate with the smallest start wins.
 
     The returned density is at least the input band density minus span/n.
     """
@@ -185,14 +200,13 @@ def pigeonhole_square(
             raise ParameterError(f"point ({x}, {y}) outside the progression band")
         along.append(v)
     base_density = len(along) / (p.length * n)
-    best = (-1, None)
-    for start in range(1, n - (p.length - 1) * p.difference + 1):
-        shifted = p.shifted(start - p.start)
-        elems = set(shifted.elements())
-        c = int(sum(1 for v in along if v in elems))
-        if c > best[0]:
-            best = (c, shifted)
-    count, translate = best
+    # counts[s - 1] counts `along` on P moved to start s, for the starts that
+    # keep it inside [n]; those never reach past index n, so nothing wraps
+    w = np.bincount(np.asarray(along, dtype=np.int64), minlength=n + 1)
+    counts = _shift_scores(w, p.shifted(-p.start))[1 : n - (p.last - p.start) + 1]
+    start = int(counts.argmax()) + 1
+    count = int(counts[start - 1])
+    translate = p.shifted(start - p.start)
     return PigeonholeResult(
         translate=translate,
         count=count,
@@ -267,10 +281,7 @@ def _column_extract(a: GridSet, p: Progression) -> tuple[int, GridSet, int]:
     Returns (shift, extracted set in P x [n], point count)."""
     t = embed_torus(a)
     N = t.ambient.size
-    sizes = t.column_sizes()
-    cols = np.asarray(p.elements(), dtype=np.int64)
-    scores = [int(sizes[(cols + y) % N].sum()) for y in range(N)]
-    shift = int(np.argmax(scores))
+    shift = int(_shift_scores(t.column_sizes(), p).argmax())
     pts = [(x, y) for x in p.elements() for y in t.column((x + shift) % N)]
     return shift, make_grid_set(pts, a.ambient), len(pts)
 
@@ -281,11 +292,7 @@ def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, 
     n = a.ambient.size
     N = 2 * n
     m = embed_torus(a).indicator_matrix(dtype=np.int64)
-    pvec = np.zeros(N, dtype=np.int64)
-    pvec[list(p.elements())] = 1
-    circ = pvec[(np.arange(N)[:, None] - np.arange(N)[None, :]) % N]
-    counts = m @ circ  # counts[x, y] = |(A_x - y) cap P|
-    shifts = counts.argmax(axis=1)
+    shifts = _shift_scores(m, p).argmax(axis=1)  # maximizes |(A_x - y) cap P|
     pts = []
     for x in range(1, n + 1):
         y = int(shifts[x])
@@ -311,34 +318,7 @@ def vertical_l2_increment(
 def _vertical_l2(
     a: GridSet, spectrum: np.ndarray, config: AnalysisConfig
 ) -> Optional[ProgressionIncrement]:
-    if a.ambient.kind != GRID:
-        raise ParameterError("expected a grid-ambient set")
-    n = a.ambient.size
-    alpha = len(a) / n**2
-    if alpha == 0:
-        return None
-    if float((spectrum[1:] ** 2.5).sum()) < (config.C * alpha) ** 2.5:
-        return None
-    weights = spectrum**2
-    b = np.sort(weights[1:])[::-1]
-    m = technical_select(
-        b, (config.C * alpha) ** 2, 5 / 4, 1 / 2, 6 / 5, config.zeta_terms
-    )
-    gamma_set = CharacterSet(2 * n, _top_frequencies(weights, m))
-    prog = annihilating_progression(gamma_set, alpha, n)
-    if prog is None:
-        return ProgressionIncrement(small_density=True, gamma_set=gamma_set)
-    shift, extracted, count = _column_extract(a, prog)
-    _check_extraction_free(a, extracted)
-    return ProgressionIncrement(
-        small_density=False,
-        gamma_set=gamma_set,
-        progression=prog,
-        extracted=extracted,
-        extracted_count=count,
-        band_area=prog.length * n,
-        shift=shift,
-    )
+    return _l2_route(a, spectrum, 2.5, 2, (1 / 2, 6 / 5), _column_extract, config)
 
 
 def horizontal_increment(
@@ -356,21 +336,42 @@ def horizontal_increment(
 def _horizontal(
     a: GridSet, cross: np.ndarray, config: AnalysisConfig
 ) -> Optional[ProgressionIncrement]:
+    return _l2_route(a, cross, 1.5, 1, (0.0, 4 / 3), _row_extract, config)
+
+
+def _l2_route(
+    a: GridSet,
+    spectrum: np.ndarray,
+    exponent: float,
+    power: int,
+    select: tuple[float, float],
+    extract: Callable[[GridSet, Progression], tuple[Any, GridSet, int]],
+    config: AnalysisConfig,
+) -> Optional[ProgressionIncrement]:
+    """The body of both L2 routes.  Opens when the nontrivial mass
+    sum |spectrum|^exponent reaches (C alpha)^exponent; the characters are
+    the heavy prefix of the weights spectrum^power, found by
+    technical_select with beta = (C alpha)^power, p = exponent / power and
+    (q, p') = `select`; `extract` then shifts the set onto the progression
+    that annihilates them."""
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
     alpha = len(a) / n**2
     if alpha == 0:
         return None
-    if float((cross[1:] ** 1.5).sum()) < (config.C * alpha) ** 1.5:
+    if float((spectrum[1:] ** exponent).sum()) < (config.C * alpha) ** exponent:
         return None
-    b = np.sort(cross[1:])[::-1]
-    m = technical_select(b, config.C * alpha, 3 / 2, 0.0, 4 / 3, config.zeta_terms)
-    gamma_set = CharacterSet(2 * n, _top_frequencies(cross, m))
+    weights = spectrum**power
+    b = np.sort(weights[1:])[::-1]
+    m = technical_select(
+        b, (config.C * alpha) ** power, exponent / power, *select, config.zeta_terms
+    )
+    gamma_set = CharacterSet(2 * n, _top_frequencies(weights, m))
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
         return ProgressionIncrement(small_density=True, gamma_set=gamma_set)
-    shifts, extracted, count = _row_extract(a, prog)
+    shift, extracted, count = extract(a, prog)
     _check_extraction_free(a, extracted)
     return ProgressionIncrement(
         small_density=False,
@@ -379,7 +380,7 @@ def _horizontal(
         extracted=extracted,
         extracted_count=count,
         band_area=prog.length * n,
-        shifts=shifts,
+        **({"shifts": shift} if isinstance(shift, tuple) else {"shift": shift}),
     )
 
 
@@ -387,32 +388,29 @@ def _horizontal(
 # Full step
 # ---------------------------------------------------------------------------
 
-def _rename_subsquare(a: GridSet, cols: Progression, rows: Progression) -> GridSet:
-    """The points of `a` in cols x rows, renamed into [cols.length]^2."""
-    xs, ys = cols.elements(), rows.elements()
-    out = [
-        (xs.index(x) + 1, ys.index(y) + 1)
-        for x, y in a.points()
-        if x in xs and y in ys
-    ]
-    return make_grid_set(out, grid(cols.length))
-
-
-def _subsquare_outcome(
+def _square_outcome(
     a: GridSet,
-    band: GridSet,
     p: Progression,
+    translate: Progression,
     axis: str,
     branch: Optional[str],
     gamma_set: Optional[CharacterSet],
     alpha: float,
     note: str = "",
 ) -> IncrementOutcome:
-    """Pigeonhole the band onto a square and package the renamed free set."""
-    n = a.ambient.size
-    ph = pigeonhole_square(band, p, axis=axis)
-    cols, rows = (p, ph.translate) if axis == "columns" else (ph.translate, p)
-    renamed = _rename_subsquare(band, cols, rows)
+    """The points of `a` in the square p x translate (axis "columns") or
+    translate x p (axis "rows"), renamed into [p.length]^2, checked free and
+    packaged as a subsquare outcome."""
+    cols, rows = (p, translate) if axis == "columns" else (translate, p)
+    xs, ys = cols.elements(), rows.elements()
+    renamed = make_grid_set(
+        [
+            (xs.index(x) + 1, ys.index(y) + 1)
+            for x, y in a.points()
+            if x in xs and y in ys
+        ],
+        grid(p.length),
+    )
     w = find_skew_corner(renamed)
     if w is not None:
         raise FalsificationError(
@@ -422,16 +420,30 @@ def _subsquare_outcome(
         variant=SUBSQUARE,
         branch=branch,
         alpha=alpha,
-        n=n,
+        n=a.ambient.size,
         extracted=renamed,
         extracted_count=len(renamed),
-        box_area=cols.length**2,
-        n_prime=cols.length,
+        box_area=p.length**2,
+        n_prime=p.length,
         progression=p,
-        translate=ph.translate,
+        translate=translate,
         gamma_set=gamma_set,
         note=note,
     )
+
+
+def _subsquare_outcome(
+    band: GridSet,
+    p: Progression,
+    axis: str,
+    branch: Optional[str],
+    gamma_set: Optional[CharacterSet],
+    alpha: float,
+    note: str = "",
+) -> IncrementOutcome:
+    """Pigeonhole the band onto its densest square and package that."""
+    translate = pigeonhole_square(band, p, axis=axis).translate
+    return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
 
 
 def _small_density(alpha: float, n: int, note: str) -> IncrementOutcome:
@@ -469,22 +481,11 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
             pref[L:, L:] - pref[:-L, L:] - pref[L:, :-L] + pref[:-L, :-L]
         )
         sx, sy = np.unravel_index(int(win.argmax()), win.shape)
-        count, sx, sy = int(win[sx, sy]), int(sx) + 1, int(sy) + 1
-        cols = Progression(start=sx, difference=1, length=L)
-        rows = Progression(start=sy, difference=1, length=L)
-        renamed = _rename_subsquare(a, cols, rows)
+        cols = Progression(start=int(sx) + 1, difference=1, length=L)
+        rows = Progression(start=int(sy) + 1, difference=1, length=L)
         out.append(
-            IncrementOutcome(
-                variant=SUBSQUARE,
-                branch=None,
-                alpha=alpha,
-                n=n,
-                extracted=renamed,
-                extracted_count=count,
-                box_area=L * L,
-                n_prime=L,
-                progression=cols,
-                translate=rows,
+            _square_outcome(
+                a, cols, rows, "columns", None, None, alpha,
                 note="difference-1 subsquare scan",
             )
         )
@@ -528,55 +529,43 @@ def _guaranteed_step(
     # then select the route
     _, spectrum, cross = _dichotomy(a, config.tolerance)
     c_p = config.c_prime
-    horiz_mass = float((cross[1:] ** 1.5).sum())
-    vert_mass = float((spectrum[1:] ** 2.5).sum())
-    max_coeff = float(spectrum[1:].max())
-    gamma_max = _top_frequencies(spectrum, 1)[0]
-
-    if horiz_mass >= (config.C * alpha) ** 1.5:
-        res = _horizontal(a, cross, config)
+    # the L2 routes in order of preference, each with the exponent k of its
+    # band bound 3 m^k alpha; a route returns None when its mass is too low
+    for route, spec, axis, branch, label, k in (
+        (_horizontal, cross, "rows", "iv", "row", Fraction(1, 4)),
+        (_vertical_l2, spectrum, "columns", "iii", "column", Fraction(1, 6)),
+    ):
+        res = route(a, spec, config)
+        if res is None:
+            continue
         if res.small_density:
             return _small_density(alpha, n, "alpha n below the progression guard")
         m = len(res.gamma_set)
-        if res.density < 3 * m**0.25 * alpha - config.tolerance:
+        if res.density < 3 * m ** float(k) * alpha - config.tolerance:
             raise FalsificationError(
-                f"row-band density {res.density:.6g} below 3 m^(1/4) alpha; "
+                f"{label}-band density {res.density:.6g} below 3 m^({k}) alpha; "
                 "configured C does not support the guaranteed bound"
             )
         out = _subsquare_outcome(
-            a, res.extracted, res.progression, "rows", "iv",
-            res.gamma_set, alpha,
+            res.extracted, res.progression, axis, branch, res.gamma_set, alpha
         )
-        floor = (1 + c_p) * m ** (1 / 6) * alpha
-    elif vert_mass >= (config.C * alpha) ** 2.5:
-        res = _vertical_l2(a, spectrum, config)
-        if res.small_density:
-            return _small_density(alpha, n, "alpha n below the progression guard")
-        m = len(res.gamma_set)
-        if res.density < 3 * m ** (1 / 6) * alpha - config.tolerance:
-            raise FalsificationError(
-                f"column-band density {res.density:.6g} below 3 m^(1/6) alpha; "
-                "configured C does not support the guaranteed bound"
-            )
-        out = _subsquare_outcome(
-            a, res.extracted, res.progression, "columns", "iii",
-            res.gamma_set, alpha,
-        )
-        floor = (1 + c_p) * m ** (1 / 6) * alpha
-    elif max_coeff >= 4 * c_p * alpha:
-        res = _vertical_linfty(a, gamma_max, spectrum, config)
-        if res.small_density:
-            return _small_density(alpha, n, "alpha below the block guard")
-        band = _band_of_progression(a, res.progression)
-        out = _subsquare_outcome(
-            a, band, res.progression, "columns", "ii", None, alpha,
-        )
-        floor = (1 + c_p) * alpha
-    else:
+        return _above_floor(out, (1 + c_p) * m ** (1 / 6) * alpha, config)
+    if float(spectrum[1:].max()) < 4 * c_p * alpha:
         raise FalsificationError(
             f"no spectral route opened at C={config.C}, c_prime={c_p}; "
             "constants too aggressive for this input"
         )
+    res = _vertical_linfty(a, _top_frequencies(spectrum, 1)[0], spectrum, config)
+    if res.small_density:
+        return _small_density(alpha, n, "alpha below the block guard")
+    band = _band_of_progression(a, res.progression)
+    out = _subsquare_outcome(band, res.progression, "columns", "ii", None, alpha)
+    return _above_floor(out, (1 + c_p) * alpha, config)
+
+
+def _above_floor(
+    out: IncrementOutcome, floor: float, config: AnalysisConfig
+) -> IncrementOutcome:
     if out.density < floor - config.tolerance:
         raise FalsificationError(
             f"subsquare density {out.density:.6g} below the guaranteed floor "
@@ -602,7 +591,7 @@ def _best_effort_step(
             if len(band):
                 candidates.append(
                     _subsquare_outcome(
-                        a, band, blk.progression, "columns", "ii", None, alpha,
+                        band, blk.progression, "columns", "ii", None, alpha,
                         note="best-effort block route",
                     )
                 )
@@ -629,7 +618,7 @@ def _best_effort_step(
                 continue
             candidates.append(
                 _subsquare_outcome(
-                    a, extracted, prog, axis, branch, gamma_set, alpha,
+                    extracted, prog, axis, branch, gamma_set, alpha,
                     note="best-effort route with relaxed guards",
                 )
             )
@@ -638,21 +627,10 @@ def _best_effort_step(
     if not any(c.density >= alpha for c in viable):
         # last resort: a single occupied cell has density 1
         x, y = next(a.points())
-        cols = Progression(start=x, difference=1, length=1)
-        rows = Progression(start=y, difference=1, length=1)
         viable.append(
-            IncrementOutcome(
-                variant=SUBSQUARE,
-                branch=None,
-                alpha=alpha,
-                n=n,
-                extracted=make_grid_set([(1, 1)], grid(1)),
-                extracted_count=1,
-                box_area=1,
-                n_prime=1,
-                progression=cols,
-                translate=rows,
-                note="single-cell fallback",
+            _square_outcome(
+                a, Progression(x, 1, 1), Progression(y, 1, 1), "columns",
+                None, None, alpha, note="single-cell fallback",
             )
         )
     # Prefer the largest subsquare that achieves the guaranteed-mode floor

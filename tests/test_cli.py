@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -166,6 +167,37 @@ def test_increment_iterations(capsys, tmp_path):
     steps = json.loads(out)["steps"]
     assert 1 <= len(steps) <= 3
     assert all(s["density"] >= steps[0]["alpha"] for s in steps)
+
+
+def test_increment_refuses_fewer_than_one_iteration(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    sl.save_skewset(sl.make_grid_set([(1, 1), (2, 3)], sl.grid(4)), path)
+    out_path = tmp_path / "inc.txt"
+    for k in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "increment", "--in", str(path), "--iterations", k,
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "--iterations" in err
+    assert not out_path.exists()
+
+
+def test_increment_refuses_above_the_cap(capsys, tmp_path):
+    # grid 2049 embeds in a torus of side 4098 > MAX_FFT_SIDE; the refusal
+    # comes before any N x N array, which would take 16 MiB even as bool
+    a = sl.make_grid_set([(1, 1), (2049, 2049)], sl.grid(2049))
+    path = tmp_path / "big.txt"
+    sl.save_skewset(a, path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sl.CapabilityError):
+            sl.increment_step(a)
+        code, _, err = run_cli(capsys, "increment", "--in", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "error" in err
+    assert peak < 4 * 2**20
 
 
 def test_experiment_cli(capsys):

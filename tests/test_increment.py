@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 import skewlab as sl
 from conftest import greedy_free_set
 from skewlab.fourier import marginal_spectrum
+from skewlab.increment import _column_extract, _row_extract
 
 
 # ---------------------------------------------------------------------------
@@ -28,29 +31,38 @@ def test_pigeonhole_empty_band():
 def test_pigeonhole_guarantee_on_random_bands():
     rng = np.random.default_rng(0)
     n = 32
-    for _ in range(20):
-        d = int(rng.integers(1, 4))
-        length = int(rng.integers(2, n // d // 2 + 2))
-        start = int(rng.integers(1, n - (length - 1) * d))
-        p = sl.Progression(start=start, difference=d, length=length)
-        if p.span > n:
-            continue
-        pts = [
-            (x, y)
-            for x in p.elements()
-            for y in range(1, n + 1)
-            if rng.random() < 0.3
-        ]
-        band = sl.make_grid_set(pts, sl.grid(n))
-        res = sl.pigeonhole_square(band, p, axis="columns")
-        assert res.density >= res.base_density - p.span / n - 1e-12
-        # independent exhaustive check of the maximizer
-        best = -1
-        for s in range(1, n - (length - 1) * d + 1):
-            elems = set(range(s, s + length * d, d))
-            c = sum(1 for x, y in pts if y in elems)
-            best = max(best, c)
-        assert res.count == best
+    ties = 0
+    for axis in ("columns", "rows"):
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            length = int(rng.integers(2, n // d // 2 + 2))
+            start = int(rng.integers(1, n - (length - 1) * d))
+            p = sl.Progression(start=start, difference=d, length=length)
+            if p.span > n:
+                continue
+            rate = rng.choice((0.05, 0.3))
+            pts = [  # (coordinate in P, coordinate matched against P')
+                (u, v)
+                for u in p.elements()
+                for v in range(1, n + 1)
+                if rng.random() < rate
+            ]
+            xy = pts if axis == "columns" else [(v, u) for u, v in pts]
+            band = sl.make_grid_set(xy, sl.grid(n))
+            res = sl.pigeonhole_square(band, p, axis=axis)
+            assert res.density >= res.base_density - p.span / n - 1e-12
+            # independent exhaustive check of the maximizer: the first start
+            # reaching the best count wins
+            counts = []
+            for s in range(1, n - (length - 1) * d + 1):
+                elems = set(range(s, s + length * d, d))
+                counts.append(sum(1 for u, v in pts if v in elems))
+            best = max(counts)
+            assert res.count == best
+            assert res.translate.start == counts.index(best) + 1
+            assert (res.translate.difference, res.translate.length) == (d, length)
+            ties += counts.count(best) > 1
+    assert ties  # the tie rule was exercised
 
 
 def test_pigeonhole_rows_axis():
@@ -102,6 +114,51 @@ def test_l2_routes_none_when_hypothesis_fails():
     empty = sl.make_grid_set([], sl.grid(16))
     assert sl.vertical_l2_increment(empty) is None
     assert sl.horizontal_increment(empty) is None
+
+
+def test_shift_search_matches_definition():
+    # the extractors against the definition on the torus Z/2n: the first
+    # horizontal shift y maximizing sum over e in P of |A_(e+y)|, and per
+    # column x the first y maximizing |(A_x - y) cap P|, then the points
+    # those shifts bring onto P
+    rng = np.random.default_rng(1)
+    ties = wraps = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 17))
+        N = 2 * n
+        a = greedy_free_set(n, rng)
+        d = int(rng.integers(1, n + 1))
+        length = int(rng.integers(1, n // d + 1))
+        p = sl.Progression(int(rng.integers(1, n - (length - 1) * d + 1)), d, length)
+        elems = list(p.elements())
+        cols = [set(a.column(x)) if 1 <= x <= n else set() for x in range(N)]
+
+        score = [sum(len(cols[(e + y) % N]) for e in elems) for y in range(N)]
+        shift = score.index(max(score))
+        want = {(e, y) for e in elems for y in cols[(e + shift) % N]}
+        got_shift, got, count = _column_extract(a, p)
+        assert got_shift == shift
+        assert set(got.points()) == want and count == len(want)
+        ties += score.count(max(score)) > 1
+        wraps += any(e + shift >= N for e in elems) and bool(want)
+
+        shifts = []
+        for col in cols:
+            hits = [sum((e + y) % N in col for e in elems) for y in range(N)]
+            y = hits.index(max(hits))
+            shifts.append(y)
+            ties += bool(col) and hits.count(max(hits)) > 1
+            wraps += any(e + y >= N and (e + y) % N in col for e in elems)
+        want = {
+            (x, e)
+            for x in range(1, n + 1)
+            for e in elems
+            if (e + shifts[x]) % N in cols[x]
+        }
+        got_shifts, got, count = _row_extract(a, p)
+        assert got_shifts == tuple(shifts)
+        assert set(got.points()) == want and count == len(want)
+    assert ties and wraps  # both the tie rule and the wraparound were exercised
 
 
 def test_vertical_l2_fires_then_small_density_verdict():
@@ -200,6 +257,20 @@ def test_increment_deterministic():
     o1 = sl.increment_step(a)
     o2 = sl.increment_step(a)
     assert o1 == o2
+
+
+def test_increment_best_effort_on_product_at_512():
+    # the 9^3-point product in [512]^2; an O(N^3) shift search once made
+    # this step take 40 s, so the time gate is generous
+    a = sl.product_construction(sl.find_base_set(6), 512)
+    t0 = time.perf_counter()
+    out = sl.increment_step(a)
+    elapsed = time.perf_counter() - t0
+    assert out.variant == "subsquare"
+    assert sl.find_skew_corner(out.extracted) is None
+    assert out.density >= a.density
+    assert out.extracted_count == len(out.extracted)
+    assert elapsed < 10
 
 
 def test_increment_single_point_input():
