@@ -14,10 +14,10 @@ column is pinned, and on the torus contains the base element).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import chain, combinations, repeat
+from typing import Iterable, Iterator, Optional
 
 from .construct import BaseSet
 from .core import Ambient, GridSet, TORUS, make_grid_set, torus
@@ -27,6 +27,10 @@ MAX_AMBIENT = 64
 DEFAULT_BUDGET = 10**8
 SKEW = "skew"
 BI_SKEW = "bi_skew"
+# Up to this size the candidate pools (2^size masks at most) are read from
+# cached tuples, which is faster at every node; larger pools are streamed
+# afresh at every node, since listing them would not fit in memory.
+_TUPLE_MAX = 18
 
 
 @dataclass(frozen=True)
@@ -44,54 +48,49 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _rotl(s: int, d: int, size: int) -> int:
-    d %= size
-    full = (1 << size) - 1
-    return ((s << d) | (s >> (size - d))) & full
+def _masks(size: int, force_bit0: bool) -> Iterator[int]:
+    """Candidate column subsets, largest first, in a fixed order.
 
-
-@lru_cache(maxsize=None)
-def _torus_diffs(s: int, size: int) -> tuple[int, ...]:
-    """Residues d in [1, size) realized as differences of two set bits."""
-    return tuple(d for d in range(1, size) if s & _rotl(s, d, size))
-
-
-@lru_cache(maxsize=None)
-def _grid_diffs(s: int, size: int) -> tuple[int, ...]:
-    """Positive integer differences realized by two set bits."""
-    return tuple(d for d in range(1, size) if s & (s >> d))
-
-
-@lru_cache(maxsize=None)
-def _mask_bits(s: int) -> tuple[int, ...]:
-    bits = []
-    while s:
-        low = s & -s
-        bits.append(low.bit_length() - 1)
-        s ^= low
-    return tuple(bits)
-
-
-def _ordered_masks(size: int, force_bit0: bool) -> list[int]:
-    """Nonempty column subsets, largest first, deterministic order."""
-    free_bits = range(1, size) if force_bit0 else range(size)
-    base = 1 if force_bit0 else 0
-    nfree = size - 1 if force_bit0 else size
-    out = []
-    for k in range(nfree, -1, -1):
-        if k == 0 and not force_bit0:
-            continue  # empty mask handled separately
-        for combo in itertools.combinations(free_bits, k):
-            m = base
-            for b in combo:
-                m |= 1 << b
-            out.append(m)
-    return out
+    With `force_bit0` every mask holds bit 0, down to the mask 1 itself;
+    without it the empty mask is left out, since the search tries it last.
+    """
+    base = int(force_bit0)
+    bits = [1 << b for b in range(base, size)]
+    return chain.from_iterable(
+        map(sum, combinations(bits, k), repeat(base))
+        for k in range(len(bits), -base, -1)
+    )
 
 
 @lru_cache(maxsize=8)
-def _cached_masks(size: int, force_bit0: bool) -> tuple[int, ...]:
-    return tuple(_ordered_masks(size, force_bit0))
+def _mask_tuple(size: int, force_bit0: bool) -> tuple[int, ...]:
+    return tuple(_masks(size, force_bit0))
+
+
+def _shift(m: int, d: int, size: int, on_torus: bool) -> int:
+    """Move the bits of m up by d: rotated on the torus, clipped on the grid."""
+    full = (1 << size) - 1
+    if on_torus:
+        d %= size
+        return ((m << d) | (m >> (size - d))) & full
+    return (m << d) & full if d >= 0 else m >> -d
+
+
+@lru_cache(maxsize=1 << 16)
+def _diffs(s: int, size: int, on_torus: bool) -> tuple[int, int]:
+    """(D, R): bit d of D is set when two bits of s differ by d > 0 (mod
+    size on the torus); R is D reflected, bit size-1-d for each such d.
+
+    A column p holding s forbids ((D << p) | (R >> (size-1-p))) & full,
+    the columns p + d and p - d; on the torus D is symmetric and R = D >> 1,
+    so the same expression wraps.
+    """
+    dm = 0
+    for b in range(size):
+        if s >> b & 1:
+            dm |= _shift(s, -b, size, on_torus)
+    dm &= ~1
+    return dm, int(format(dm, f"0{size}b")[::-1], 2)
 
 
 def max_skew_corner_free(
@@ -107,6 +106,8 @@ def max_skew_corner_free(
     """
     if mode not in (SKEW, BI_SKEW):
         raise ParameterError(f"unknown search mode {mode!r}")
+    if budget < 1:
+        raise ParameterError(f"search budget must be >= 1, got {budget}")
     size = ambient.size
     if size > MAX_AMBIENT:
         raise CapabilityError(
@@ -118,25 +119,19 @@ def max_skew_corner_free(
     # bi mode only global translations survive transposition.
     norm_all = symmetry and not bi
     norm_first = symmetry and (not bi or on_torus)
-    if size <= 18:
-        nonempty_all = _cached_masks(size, False)
-        nonempty_norm = _cached_masks(size, True)
-    else:
-        nonempty_all = _ordered_masks(size, False)
-        nonempty_norm = _ordered_masks(size, True)
-
-    diffs = _torus_diffs if on_torus else _grid_diffs
+    full = (1 << size) - 1
     best = 0
     best_masks: Optional[list[int]] = None
     nodes = 0
     masks = [0] * size
     placed: list[tuple[int, int]] = []  # (position, mask) of nonempty columns
 
+    pool = _mask_tuple if size <= _TUPLE_MAX else _masks
+
     def candidates(p: int) -> Iterable[int]:
         if p == 0 and symmetry:
-            return nonempty_norm if norm_first else nonempty_all
-        pool = nonempty_norm if norm_all else nonempty_all
-        return itertools.chain(pool, (0,))
+            return pool(size, norm_first)
+        return chain(pool(size, norm_all), (0,))
 
     def rec(p, occupied, forb_cols, row_occ, forb_rows, total) -> None:
         nonlocal best, best_masks, nodes
@@ -146,12 +141,10 @@ def max_skew_corner_free(
                 best_masks = masks.copy()
             return
         cap = size - forb_rows.bit_count() if bi else size
-        room = total
-        for q in range(p, size):
-            if not forb_cols >> q & 1:
-                room += cap
-        if room <= best:
+        if total + cap * (size - p - (forb_cols >> p).bit_count()) <= best:
             return
+        blocked = forb_cols >> p & 1
+        back = size - 1 - p
         for s in candidates(p):
             nodes += 1
             if nodes > budget:
@@ -160,63 +153,27 @@ def max_skew_corner_free(
                 masks[p] = 0
                 rec(p + 1, occupied, forb_cols, row_occ, forb_rows, total)
                 continue
-            if forb_cols >> p & 1:
+            if blocked:
                 continue
-            nf = forb_cols
-            ok = True
-            if on_torus:
-                for d in diffs(s, size):
-                    q = (p + d) % size
-                    if occupied >> q & 1:
-                        ok = False
-                        break
-                    nf |= 1 << q
-            else:
-                for d in diffs(s, size):
-                    for q in (p + d, p - d):
-                        if 0 <= q < size:
-                            if occupied >> q & 1:
-                                ok = False
-                                break
-                            nf |= 1 << q
-                    if not ok:
-                        break
-            if not ok:
+            dm, rm = _diffs(s, size, on_torus)
+            cols = ((dm << p) | (rm >> back)) & full
+            if cols & occupied:
                 continue
             nro, nfr = row_occ, forb_rows
             if bi:
-                if s & forb_rows:
-                    continue
-                nro = row_occ | s
+                # a row y shared with the earlier column pp forbids y +- (p - pp)
+                nro |= s
                 for pp, mm in placed:
                     common = s & mm
-                    if not common:
-                        continue
-                    d1 = p - pp
-                    deltas = ((d1 % size), (-d1) % size) if on_torus else (d1, -d1)
-                    for y in _mask_bits(common):
-                        for dd in deltas:
-                            if on_torus:
-                                rr = (y + dd) % size
-                            else:
-                                rr = y + dd
-                                if not 0 <= rr < size:
-                                    continue
-                            if nro >> rr & 1:
-                                ok = False
-                                break
-                            nfr |= 1 << rr
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                if s & nfr:
+                    if common:
+                        nfr |= _shift(common, p - pp, size, on_torus)
+                        nfr |= _shift(common, pp - p, size, on_torus)
+                if nfr & nro:
                     continue
             masks[p] = s
             placed.append((p, s))
-            rec(p + 1, occupied | (1 << p), nf, nro, nfr, total + s.bit_count())
+            rec(p + 1, occupied | (1 << p), forb_cols | cols, nro, nfr,
+                total + s.bit_count())
             placed.pop()
             masks[p] = 0
 
@@ -228,7 +185,10 @@ def max_skew_corner_free(
 
     lo = ambient.lo
     pts = [
-        (p + lo, b + lo) for p, s in enumerate(best_masks or ()) for b in _mask_bits(s)
+        (p + lo, b + lo)
+        for p, s in enumerate(best_masks or ())
+        for b in range(size)
+        if s >> b & 1
     ]
     witness = make_grid_set(pts, ambient)
     return SearchResult(

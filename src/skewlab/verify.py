@@ -135,19 +135,23 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     trivial = int((sizes * sizes).sum())
     if len(a) == 0:
         return CornerCount(0, 0)
-    m = a.indicator_matrix()
-    spec = np.fft.fft(m, axis=1)
-    corr = np.fft.ifft(np.abs(spec) ** 2, axis=1).real
+    # Each N x N array is dropped once used: 128 MiB apiece at N = 4096.
+    power = np.abs(np.fft.fft(a.indicator_matrix(), axis=1)) ** 2
+    corr = np.fft.ifft(power, axis=1).real
+    del power
     corr_int = np.rint(corr)
     residue = float(np.abs(corr - corr_int).max())
+    del corr
     if residue > FFT_RESIDUE_TOL:
         raise PrecisionError(
             f"autocorrelation rounding residue {residue:.3g} exceeds "
             f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
         )
-    # total = sum_{x,d} c_x(d) * |A_{(x+d) mod N}|
-    idx = (np.arange(N)[:, None] + np.arange(N)[None, :]) % N
-    total = int((corr_int.astype(np.int64) * sizes[idx]).sum())
+    corr_int = corr_int.astype(np.int64)
+    # total = sum_{x,d} c_x(d) * |A_{(x+d) mod N}|; row x of the window view
+    # of sizes twice over is sizes[(x + d) mod N], without a copy
+    lagged = np.lib.stride_tricks.sliding_window_view(np.tile(sizes, 2), N)[:N]
+    total = int(np.einsum("xd,xd->", corr_int, lagged))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 
 

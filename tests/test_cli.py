@@ -106,6 +106,17 @@ def test_search_writes_witness(capsys, tmp_path):
     assert len(w) == 8 and sl.is_bi_skew_corner_free(w)
 
 
+def test_search_refuses_budget_below_one(capsys, tmp_path):
+    out_path = tmp_path / "w.txt"
+    for budget in ("0", "-5"):
+        code, out, err = run_cli(
+            capsys, "search", "--ambient", "torus", "--size", "4",
+            "--budget", budget, "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "budget" in err
+    assert not out_path.exists()
+
+
 def test_growth_csv_columns(capsys):
     code, out, _ = run_cli(capsys, "growth", "--exps", "10..12..2", "--format", "csv")
     assert code == 0

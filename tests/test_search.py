@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 import skewlab as sl
@@ -42,10 +45,11 @@ def test_symmetry_breaking_never_changes_best_size():
             sym = sl.max_skew_corner_free(sl.torus(N), mode=mode)
             plain = sl.max_skew_corner_free(sl.torus(N), mode=mode, symmetry=False)
             assert sym.best_size == plain.best_size
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         sym = sl.max_skew_corner_free(sl.grid(n))
         plain = sl.max_skew_corner_free(sl.grid(n), symmetry=False)
         assert sym.best_size == plain.best_size
+    assert plain.best_size == 9
 
 
 def test_torus6_bi_skew_matches_known_example(eight_point_set):
@@ -67,6 +71,59 @@ def test_budget_exhaustion_flags_result():
     assert res.best_size <= 9
     if len(res.witness):
         assert sl.find_skew_corner(res.witness) is None
+
+
+# The candidate order fixes which nodes are tried and which maximum is met
+# first; any reordering of the mask stream changes these numbers.
+@pytest.mark.parametrize(
+    "ambient, mode, nodes, witness",
+    [
+        (sl.torus(6), "skew", 8909,
+         [(0, 0), (0, 2), (0, 4), (1, 0), (1, 3), (3, 0), (3, 1), (5, 0), (5, 3)]),
+        (sl.torus(6), "bi_skew", 153184,
+         [(0, 0), (0, 2), (0, 4), (1, 0), (1, 3), (3, 2), (3, 3), (5, 3)]),
+        (sl.torus(7), "skew", 54729, [(0, y) for y in range(7)]),
+        (sl.grid(5), "skew", 2736,
+         [(1, 1), (1, 2), (3, 1), (3, 4), (4, 1), (4, 3), (4, 5), (5, 1), (5, 4)]),
+        (sl.grid(6), "skew", 43460, [(x, y) for x in (1, 6) for y in range(1, 6)]),
+        (sl.grid(7), "skew", 296854,
+         [(1, 1), (1, 3), (1, 5), (2, 1), (2, 4), (2, 7), (4, 1), (4, 2), (4, 6),
+          (4, 7), (6, 1), (6, 4), (6, 7), (7, 1), (7, 3), (7, 5)]),
+    ],
+    ids=["torus6", "torus6-bi", "torus7", "grid5", "grid6", "grid7"],
+)
+def test_search_order_is_pinned(ambient, mode, nodes, witness):
+    res = sl.max_skew_corner_free(ambient, mode=mode)
+    assert res.optimal
+    assert res.nodes_explored == nodes
+    assert sorted(res.witness.points()) == witness
+
+
+@pytest.mark.parametrize(
+    "ambient, mode",
+    [(sl.grid(40), "skew"), (sl.torus(64), "bi_skew")],
+    ids=["grid40", "torus64-bi"],
+)
+def test_budgeted_search_runs_up_to_the_bitmask_limit(ambient, mode):
+    # candidates are streamed, never listed: all 2^size subsets would not fit
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = sl.max_skew_corner_free(ambient, budget=1000, mode=mode)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.budget_exhausted and not res.optimal
+    assert res.nodes_explored == 1001
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+def test_budget_below_one_is_refused():
+    for budget in (0, -5):
+        with pytest.raises(sl.ParameterError):
+            sl.max_skew_corner_free(sl.torus(4), budget=budget)
 
 
 def test_capability_guard():
