@@ -145,10 +145,19 @@ class GridSet:
     def density(self) -> float:
         return len(self) / self.ambient.size**2
 
-    def indicator_matrix(self, dtype=np.float64) -> np.ndarray:
-        """Size x size matrix M with M[x - lo, y - lo] = 1 on points."""
-        m = np.zeros((self.ambient.size, self.ambient.size), dtype=dtype)
-        m[self._column_index(), self.ys - self.ambient.lo] = 1
+    def indicator_matrix(
+        self, dtype=np.float64, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Matrix M with M[j, y - lo] = 1 on the points of column cols[j] + lo,
+        one row per index in `cols`; all size columns in order when None."""
+        cols = np.arange(self.ambient.size) if cols is None else cols
+        counts = self.column_sizes()[cols]
+        rows = np.repeat(np.arange(counts.size), counts)
+        # positions in `ys` of the chosen columns' points, column by column
+        at = np.repeat(self.offsets[cols] - np.cumsum(counts) + counts, counts)
+        at += np.arange(at.size)
+        m = np.zeros((counts.size, self.ambient.size), dtype=dtype)
+        m[rows, self.ys[at] - self.ambient.lo] = 1
         return m
 
     @staticmethod

@@ -19,23 +19,10 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import GRID, GridSet, TORUS, embed_torus
-from .errors import (
-    CapabilityError,
-    ConsistencyError,
-    FalsificationError,
-    ParameterError,
-)
-from .verify import MAX_FFT_SIDE, count_skew_corners_fft, find_skew_corner
+from .errors import ConsistencyError, FalsificationError, ParameterError
+from .verify import check_fft_side, column_power, count_skew_corners_fft, find_skew_corner
 
 DEFAULT_TOL = 1e-9
-
-
-def _check_spectral_side(N: int) -> None:
-    if N > MAX_FFT_SIDE:
-        raise CapabilityError(
-            f"spectral machinery needs dense N x N arrays; N={N} exceeds "
-            f"{MAX_FFT_SIDE}"
-        )
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,7 @@ class TwoDFunction:
         """Indicator of a torus set (grid sets are embedded first)."""
         if a.ambient.kind == GRID:
             a = embed_torus(a)
-        _check_spectral_side(a.ambient.size)
+        check_fft_side(a.ambient.size)
         return TwoDFunction(a.ambient.size, a.indicator_matrix())
 
 
@@ -285,19 +272,21 @@ def marginal_spectrum(a: GridSet) -> np.ndarray:
 
 
 def cross_spectrum(a: GridSet) -> np.ndarray:
-    """Per-frequency averages E_x |row-hat| |normalized-row-hat| of a torus
-    set or an embedded grid set, the normalized row being scaled to unit
-    L1 average (see `column_normalized`).
+    """Per-frequency averages E_x |row-hat| |normalized-row-hat| over the
+    columns x of a torus set or an embedded grid set, row-hat being the
+    transform of 1_A(x, .) (see `row_transforms`) and the normalized row
+    scaled to unit L1 average (see `column_normalized`).
 
     That scaling divides a row by its mass |A_x|/N, so each product is
-    |row-hat|^2 N/|A_x| and one row transform serves both factors; empty
-    columns contribute nothing.
+    |row-hat|^2 N/|A_x|: one power spectrum per nonempty column (see
+    `verify.column_power`) serves both factors, and empty columns add 0.
     """
-    ind = TwoDFunction.indicator(a)
-    mass = ind.values.mean(axis=1)  # |A_x| / N
-    nonempty = mass > 0
-    power = np.abs(row_transforms(ind)[nonempty]) ** 2
-    return (power / mass[nonempty, None]).sum(axis=0) / ind.modulus
+    t = embed_torus(a) if a.ambient.kind == GRID else a
+    sizes = t.column_sizes()
+    cross = np.zeros(sizes.size)
+    for cols, power in column_power(t):
+        cross += (power / sizes[cols, None]).sum(axis=0)
+    return cross / sizes.size**2
 
 
 @dataclass(frozen=True)

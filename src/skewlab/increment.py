@@ -27,7 +27,6 @@ from .fourier import (
     AnalysisConfig,
     CharacterSet,
     Progression,
-    _check_spectral_side,
     _dichotomy,
     _dirichlet_progression,
     annihilating_progression,
@@ -36,7 +35,12 @@ from .fourier import (
     marginal_spectrum,
     technical_select,
 )
-from .verify import count_corners, count_skew_corners_fft, find_skew_corner
+from .verify import (
+    check_fft_side,
+    count_corners,
+    count_skew_corners_fft,
+    find_skew_corner,
+)
 
 SMALL_DENSITY = "small_density"
 ROW_PROGRESSION = "row_progression"
@@ -119,7 +123,7 @@ class ProgressionIncrement:
 def _require_free_grid(a: GridSet) -> None:
     if a.ambient.kind != GRID:
         raise ParameterError("increment machinery expects a grid-ambient set")
-    _check_spectral_side(2 * a.ambient.size)
+    check_fft_side(2 * a.ambient.size)
     w = find_skew_corner(a)
     if w is not None:
         raise ParameterError(f"input is not skew-corner-free: {w}")
@@ -288,18 +292,21 @@ def _column_extract(a: GridSet, p: Progression) -> tuple[int, GridSet, int]:
 
 def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, int]:
     """Best per-column vertical shifts: returns (shifts, extracted set in
-    [n] x P, point count)."""
-    n = a.ambient.size
-    N = 2 * n
-    m = embed_torus(a).indicator_matrix(dtype=np.int64)
-    shifts = _shift_scores(m, p).argmax(axis=1)  # maximizes |(A_x - y) cap P|
-    pts = []
-    for x in range(1, n + 1):
-        y = int(shifts[x])
-        for z in p.elements():
-            if m[x, (z + y) % N]:
-                pts.append((x, z))
-    return tuple(int(s) for s in shifts), make_grid_set(pts, grid(n)), len(pts)
+    [n] x P, point count).  shifts[x] is the first y maximizing
+    |(A_x - y) cap P| over the torus columns x; empty columns keep 0."""
+    t = embed_torus(a)
+    N = t.ambient.size
+    cols = np.flatnonzero(t.column_sizes())
+    rows = t.indicator_matrix(np.int64, cols=cols)
+    best = _shift_scores(rows, p).argmax(axis=1)
+    shifts = np.zeros(N, dtype=np.int64)
+    shifts[cols] = best
+    elems = np.asarray(p.elements(), dtype=np.int64)
+    hit = np.take_along_axis(rows, (elems + best[:, None]) % N, axis=1)
+    r, j = np.nonzero(hit)
+    # torus column x holds grid column x: the embedding keeps coordinates
+    extracted = GridSet.from_arrays(cols[r], elems[j], a.ambient)
+    return tuple(shifts.tolist()), extracted, r.size
 
 
 def vertical_l2_increment(

@@ -100,6 +100,8 @@ def max_skew_corner_free(
     symmetry: bool = True,
 ) -> SearchResult:
     """Maximum-size search; exact when the budget covers the full tree.
+    When the budget runs out first, the result is the largest free set the
+    search placed, whether or not it completed a branch.
 
     `nodes_explored` counts candidate column subsets tried and is
     deterministic for a fixed configuration.
@@ -120,8 +122,9 @@ def max_skew_corner_free(
     norm_all = symmetry and not bi
     norm_first = symmetry and (not bi or on_torus)
     full = (1 << size) - 1
-    best = 0
+    best = reached = 0  # reached: the largest free placement, leaf or not
     best_masks: Optional[list[int]] = None
+    reached_masks: Optional[list[int]] = None
     nodes = 0
     masks = [0] * size
     placed: list[tuple[int, int]] = []  # (position, mask) of nonempty columns
@@ -134,7 +137,9 @@ def max_skew_corner_free(
         return chain(pool(size, norm_all), (0,))
 
     def rec(p, occupied, forb_cols, row_occ, forb_rows, total) -> None:
-        nonlocal best, best_masks, nodes
+        nonlocal best, best_masks, reached, reached_masks, nodes
+        if total > reached:
+            reached, reached_masks = total, masks.copy()
         if p == size:
             if total > best:
                 best = total
@@ -182,6 +187,8 @@ def max_skew_corner_free(
         rec(0, 0, 0, 0, 0, 0)
     except _BudgetExhausted:
         exhausted = True
+    if reached > best:  # only when the budget ran out first
+        best, best_masks = reached, reached_masks
 
     lo = ambient.lo
     pts = [

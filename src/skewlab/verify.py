@@ -20,9 +20,23 @@ from .errors import CapabilityError, ParameterError, PrecisionError
 # the float FFT path is exact as long as the residue stays tiny.
 FFT_RESIDUE_TOL = 1e-3
 
-# The FFT backend materializes dense N x N arrays; past this side length
-# (embedded grids double n) the naive counter is the right tool.
+# One side cap for every FFT and spectral path: the count and the cross
+# spectrum hold no N x N array, but `lambda_form`, `TwoDFunction` and the
+# increment's subsquare scan still do.  Past it (embedded grids double n)
+# the naive counter is the right tool.
 MAX_FFT_SIDE = 4096
+
+# Indicator rows are transformed in blocks of this many entries (4 MiB).
+_BLOCK_ENTRIES = 1 << 18
+
+
+def check_fft_side(N: int) -> None:
+    """Refuse a torus side above MAX_FFT_SIDE, before anything is built."""
+    if N > MAX_FFT_SIDE:
+        raise CapabilityError(
+            f"FFT and spectral paths are capped at side {MAX_FFT_SIDE}, "
+            f"N={N} exceeds it (count_skew_corners_naive has no cap)"
+        )
 
 
 @dataclass(frozen=True)
@@ -115,43 +129,46 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     return CornerCount(trivial=int((sizes * sizes).sum()), nontrivial=nontrivial)
 
 
+def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(cols, |fft(rows, axis=1)|^2) for consecutive blocks of the nonempty
+    torus columns cols, in increasing order, where rows are their indicator
+    rows; grid sets are embedded into the torus of side 2n first.  Empty
+    columns have a zero spectrum and are never transformed."""
+    if a.ambient.kind == GRID:
+        a = embed_torus(a)
+    check_fft_side(a.ambient.size)
+    nonempty = np.flatnonzero(a.column_sizes())
+    step = max(1, _BLOCK_ENTRIES // a.ambient.size)
+    for k in range(0, nonempty.size, step):
+        cols = nonempty[k : k + step]
+        yield cols, np.abs(np.fft.fft(a.indicator_matrix(cols=cols), axis=1)) ** 2
+
+
 def count_skew_corners_fft(a: GridSet) -> CornerCount:
     """FFT-accelerated count; equals the naive oracle exactly.
 
     Grid inputs are embedded into the torus of side 2n first, so the counts
-    refer to the torus.  Each column's cyclic autocorrelation is obtained by
-    a length-N FFT and rounded to the nearest integer; a residue above
-    FFT_RESIDUE_TOL raises PrecisionError.
+    refer to the torus.  Each nonempty column's cyclic autocorrelation c_x
+    is the inverse transform of its power spectrum, rounded to the nearest
+    integer; a residue above FFT_RESIDUE_TOL raises PrecisionError.  The
+    total is sum_{x,d} c_x(d) |A_{x+d}|.
     """
-    if a.ambient.kind == GRID:
-        a = embed_torus(a)
-    N = a.ambient.size
-    if N > MAX_FFT_SIDE:
-        raise CapabilityError(
-            f"dense FFT path needs an N x N array; N={N} exceeds "
-            f"{MAX_FFT_SIDE}, use count_skew_corners_naive instead"
-        )
-    sizes = a.column_sizes()
+    t = embed_torus(a) if a.ambient.kind == GRID else a
+    sizes = t.column_sizes()
+    N = sizes.size
     trivial = int((sizes * sizes).sum())
-    if len(a) == 0:
-        return CornerCount(0, 0)
-    # Each N x N array is dropped once used: 128 MiB apiece at N = 4096.
-    power = np.abs(np.fft.fft(a.indicator_matrix(), axis=1)) ** 2
-    corr = np.fft.ifft(power, axis=1).real
-    del power
-    corr_int = np.rint(corr)
-    residue = float(np.abs(corr - corr_int).max())
-    del corr
-    if residue > FFT_RESIDUE_TOL:
-        raise PrecisionError(
-            f"autocorrelation rounding residue {residue:.3g} exceeds "
-            f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
-        )
-    corr_int = corr_int.astype(np.int64)
-    # total = sum_{x,d} c_x(d) * |A_{(x+d) mod N}|; row x of the window view
-    # of sizes twice over is sizes[(x + d) mod N], without a copy
-    lagged = np.lib.stride_tricks.sliding_window_view(np.tile(sizes, 2), N)[:N]
-    total = int(np.einsum("xd,xd->", corr_int, lagged))
+    total = 0
+    for cols, power in column_power(t):
+        corr = np.fft.ifft(power, axis=1).real
+        corr_int = np.rint(corr)
+        residue = float(np.abs(corr - corr_int).max())
+        if residue > FFT_RESIDUE_TOL:
+            raise PrecisionError(
+                f"autocorrelation rounding residue {residue:.3g} exceeds "
+                f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
+            )
+        lagged = sizes[(cols[:, None] + np.arange(N)) % N]  # |A_{x+d}|
+        total += int(np.einsum("xd,xd->", corr_int.astype(np.int64), lagged))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 
 

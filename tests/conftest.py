@@ -6,6 +6,10 @@ route."""
 
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,19 @@ EIGHT_POINTS = [(0, 0), (0, 1), (2, 0), (2, 3), (3, 1), (3, 3), (3, 5), (4, 0)]
 @pytest.fixture
 def eight_point_set() -> sl.GridSet:
     return sl.make_grid_set(EIGHT_POINTS, sl.torus(6))
+
+
+@contextmanager
+def peak_memory():
+    """Trace Python allocations inside the block; on exit the yielded
+    object's `bytes` holds their peak."""
+    peak = SimpleNamespace(bytes=0)
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def rand_torus_set(rng: np.random.Generator, N: int, density: float) -> sl.GridSet:
@@ -129,3 +146,23 @@ def greedy_free_set(n: int, rng: np.random.Generator) -> sl.GridSet:
             occupied.add(x)
     pts = [(x, y) for x, ys in cols.items() for y in ys]
     return sl.make_grid_set(pts, sl.grid(n))
+
+
+def row_shift_definition(a: sl.GridSet, p) -> tuple[list[int], set, list[list[int]]]:
+    """The row extractor by definition on the torus Z/2n of a grid set: per
+    column x the first y maximizing |(A_x - y) cap P|, the points (x, e)
+    with e in P that those shifts bring onto P, and every column's hit
+    counts |(A_x - y) cap P| by shift y."""
+    n = a.ambient.size
+    N = 2 * n
+    elems = list(p.elements())
+    cols = [set(a.column(x)) if 1 <= x <= n else set() for x in range(N)]
+    hits = [[sum((e + y) % N in col for e in elems) for y in range(N)] for col in cols]
+    shifts = [h.index(max(h)) for h in hits]
+    want = {
+        (x, e)
+        for x in range(1, n + 1)
+        for e in elems
+        if (e + shifts[x]) % N in cols[x]
+    }
+    return shifts, want, hits

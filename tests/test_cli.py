@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
-import tracemalloc
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewlab as sl
 from skewlab import cli
-from conftest import EIGHT_POINTS
+from conftest import EIGHT_POINTS, brute_skew_tuples, peak_memory
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +53,34 @@ def test_count_methods_agree_on_torus_file(capsys, eight_file):
     rep = json.loads(out_fft)
     assert rep["total"] == rep["trivial"] + rep["nontrivial"]
     assert rep["lambda"] == pytest.approx(rep["total"] / 6**4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [sl.grid(1), sl.grid(4), sl.grid(7), sl.torus(1), sl.torus(5), sl.torus(8)]
+    ),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=25),
+)
+def test_count_round_trip_through_the_cli(amb, pts):
+    pts = [p for p in pts if amb.in_range(p[0]) and amb.in_range(p[1])]
+    a = sl.make_grid_set(pts, amb)
+    text = sl.dumps_skewset(a)
+    assert sl.loads_skewset(text) == a
+    counts = {}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "a.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for method in ("naive", "fft"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["count", "--in", path, "--method", method]) == 0
+            rep = json.loads(out.getvalue())
+            counts[method] = (rep["trivial"], rep["nontrivial"])
+    assert counts["naive"] == brute_skew_tuples(a)
+    on_torus = a if amb.kind == "torus" else sl.embed_torus(a)
+    assert counts["fft"] == brute_skew_tuples(on_torus)
 
 
 def test_count_grid_naive_has_no_lambda(capsys, tmp_path):
@@ -199,16 +232,12 @@ def test_increment_refuses_above_the_cap(capsys, tmp_path):
     a = sl.make_grid_set([(1, 1), (2049, 2049)], sl.grid(2049))
     path = tmp_path / "big.txt"
     sl.save_skewset(a, path)
-    tracemalloc.start()
-    try:
+    with peak_memory() as peak:
         with pytest.raises(sl.CapabilityError):
             sl.increment_step(a)
         code, _, err = run_cli(capsys, "increment", "--in", str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 2 and "error" in err
-    assert peak < 4 * 2**20
+    assert peak.bytes < 4 * 2**20
 
 
 def test_experiment_cli(capsys):

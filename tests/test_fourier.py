@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
-from conftest import rand_grid_set, rand_torus_set
+from conftest import (
+    brute_skew_tuples,
+    peak_memory,
+    rand_grid_set,
+    rand_torus_set,
+    row_shift_definition,
+)
+from skewlab import verify
+from skewlab.increment import _row_extract
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +201,65 @@ def test_parseval_embeds_grid_sets():
     nonempty = int((a.column_sizes() > 0).sum())
     assert rep.full_sum == pytest.approx(nonempty / 16, abs=1e-9)
     assert rep.nontrivial_sum <= 1 + 1e-12
+
+
+def _with_empty_columns(a: sl.GridSet, rng: np.random.Generator) -> sl.GridSet:
+    """`a` restricted to a random ~60% of its columns."""
+    keep = rng.random(a.ambient.size) < 0.6
+    pts = [(x, y) for x, y in a.points() if keep[x - a.ambient.lo]]
+    return sl.make_grid_set(pts, a.ambient)
+
+
+@pytest.mark.parametrize("block_entries", [1, 40])
+def test_column_blocks_match_definitions(monkeypatch, block_entries):
+    # a block of one row, or of one to a few rows: many blocks per call
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9, 12):
+        for make in (rand_torus_set, rand_grid_set):
+            a = _with_empty_columns(make(rng, n, 0.4), rng)
+            t = a if make is rand_torus_set else sl.embed_torus(a)
+            count = sl.count_skew_corners_fft(a)
+            if t is a:
+                assert count == sl.count_skew_corners_naive(a)
+            else:
+                assert (count.trivial, count.nontrivial) == brute_skew_tuples(t)
+
+            ind = sl.TwoDFunction.indicator(a)
+            definition = np.mean(
+                np.abs(sl.row_transforms(ind))
+                * np.abs(sl.row_transforms(sl.column_normalized(ind))),
+                axis=0,
+            )
+            np.testing.assert_allclose(
+                sl.fourier.cross_spectrum(a), definition, rtol=0, atol=1e-12
+            )
+
+            if a.ambient.kind == "grid":
+                d = int(rng.integers(1, n + 1))
+                length = int(rng.integers(1, n // d + 1))
+                start = int(rng.integers(1, n - (length - 1) * d + 1))
+                p = sl.Progression(start, d, length)
+                shifts, want, _ = row_shift_definition(a, p)
+                got_shifts, got, got_count = _row_extract(a, p)
+                assert got_shifts == tuple(shifts)
+                assert set(got.points()) == want and got_count == len(want)
+    for N in (31, 48):  # larger odd and non-power-of-two sides
+        a = _with_empty_columns(rand_torus_set(rng, N, 0.3), rng)
+        assert sl.count_skew_corners_fft(a) == sl.count_skew_corners_naive(a)
+
+
+def test_dichotomy_and_fft_count_hold_no_dense_array():
+    # only the nonempty columns are transformed, a block at a time: at the
+    # increment cap a dense N x N complex spectrum alone would take 256 MiB
+    prod = sl.product_construction(sl.find_base_set(6), 2048)  # 9^4 points
+    with peak_memory() as peak:
+        assert sl.dichotomy_report(prod).branch in ("i", "ii")
+    assert peak.bytes < 32 * 2**20
+    a = rand_torus_set(np.random.default_rng(8), 2048, 1 / 50)
+    with peak_memory() as peak:
+        sl.count_skew_corners_fft(a)
+    assert peak.bytes < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

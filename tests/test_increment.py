@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import skewlab as sl
-from conftest import greedy_free_set
+from conftest import greedy_free_set, row_shift_definition
 from skewlab.fourier import marginal_spectrum
 from skewlab.increment import _column_extract, _row_extract
 
@@ -142,19 +142,10 @@ def test_shift_search_matches_definition():
         ties += score.count(max(score)) > 1
         wraps += any(e + shift >= N for e in elems) and bool(want)
 
-        shifts = []
-        for col in cols:
-            hits = [sum((e + y) % N in col for e in elems) for y in range(N)]
-            y = hits.index(max(hits))
-            shifts.append(y)
-            ties += bool(col) and hits.count(max(hits)) > 1
+        shifts, want, hits = row_shift_definition(a, p)
+        for col, h, y in zip(cols, hits, shifts):
+            ties += bool(col) and h.count(max(h)) > 1
             wraps += any(e + y >= N and (e + y) % N in col for e in elems)
-        want = {
-            (x, e)
-            for x in range(1, n + 1)
-            for e in elems
-            if (e + shifts[x]) % N in cols[x]
-        }
         got_shifts, got, count = _row_extract(a, p)
         assert got_shifts == tuple(shifts)
         assert set(got.points()) == want and count == len(want)

@@ -1,10 +1,9 @@
 import time
-import tracemalloc
 
 import pytest
 
 import skewlab as sl
-from conftest import brute_max_free
+from conftest import brute_max_free, peak_memory
 
 
 def test_grid_trivial_and_exhaustive_oracle():
@@ -106,18 +105,20 @@ def test_search_order_is_pinned(ambient, mode, nodes, witness):
 )
 def test_budgeted_search_runs_up_to_the_bitmask_limit(ambient, mode):
     # candidates are streamed, never listed: all 2^size subsets would not fit
-    tracemalloc.start()
-    try:
+    with peak_memory() as peak:
         t0 = time.perf_counter()
         res = sl.max_skew_corner_free(ambient, budget=1000, mode=mode)
         elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert res.budget_exhausted and not res.optimal
     assert res.nodes_explored == 1001
     assert elapsed < 1.0
-    assert peak < 1 << 20
+    assert peak.bytes < 1 << 20
+    # the search reports the largest set it placed, here at least one full
+    # column, even though no leaf was reached
+    assert res.best_size >= ambient.size
+    assert len(res.witness) == res.best_size
+    free = sl.is_bi_skew_corner_free if mode == "bi_skew" else sl.is_skew_corner_free
+    assert free(res.witness)
 
 
 def test_budget_below_one_is_refused():
