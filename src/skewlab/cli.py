@@ -18,7 +18,9 @@ import numpy as np
 from . import __version__
 from .construct import (
     EXHAUSTIVE,
+    SAMPLED,
     SKIPPED,
+    VERIFY_PROBES,
     BaseSet,
     bi_sphere_construction,
     fitted_c,
@@ -35,6 +37,7 @@ from .core import (
     embed_torus,
     load_skewset,
     save_skewset,
+    transpose,
 )
 from .errors import FalsificationError, ParameterError, SkewLabError
 from .fourier import (
@@ -52,7 +55,6 @@ from .verify import (
     count_skew_corners_fft,
     count_skew_corners_naive,
     find_skew_corner,
-    is_bi_skew_corner_free,
 )
 
 GROWTH_CSV_COLUMNS = ["n", "size", "density", "fitted_c", "m", "d", "r", "t"]
@@ -100,7 +102,7 @@ def _cmd_verify(args) -> int:
     w = find_skew_corner(a)
     report = {"free": w is None, "witness": w}
     if args.bi:
-        report["bi_free"] = is_bi_skew_corner_free(a)
+        report["bi_free"] = w is None and find_skew_corner(transpose(a)) is None
     _emit(report, args.report)
     return 0
 
@@ -144,6 +146,8 @@ def _cmd_construct(args) -> int:
             "verified": verified,
             "verification": verification,
         }
+        if verification == SAMPLED:
+            report.update(probes=VERIFY_PROBES, seed=args.seed)
     else:
         if args.base:
             base_points = load_skewset(args.base)

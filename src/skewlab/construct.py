@@ -17,14 +17,15 @@ import numpy as np
 
 from .core import GridSet, grid, torus
 from .errors import FalsificationError, ParameterError
-from .verify import find_skew_corner, pair_targets
+from .verify import find_skew_corner, lagged_table, pair_targets
 
 # Row block size for the inner-product scans, in matrix entries.
 _SCAN_CHUNK = 4_000_000
 
 # `verify_free` runs the exhaustive check up to this column-pair work
-# sum_x |A_x|^2 and random pair probes above it.
+# sum_x |A_x|^2 and VERIFY_PROBES random pair probes above it.
 VERIFY_EXHAUSTIVE_MAX = 20_000_000
+VERIFY_PROBES = 10**6
 
 # How a construction's freeness was checked, as its reports say.
 EXHAUSTIVE = "exhaustive"
@@ -295,7 +296,7 @@ def free_verification(a: GridSet) -> str:
     return EXHAUSTIVE if work <= VERIFY_EXHAUSTIVE_MAX else SAMPLED
 
 
-def verify_free(a: GridSet, probes: int = 10**6, seed: int = 0) -> bool:
+def verify_free(a: GridSet, probes: int = VERIFY_PROBES, seed: int = 0) -> bool:
     """Freeness check sized to the input (see `free_verification`):
     exhaustive when the column-pair work is small, otherwise `probes`
     random pair probes.
@@ -323,14 +324,15 @@ def verify_free(a: GridSet, probes: int = 10**6, seed: int = 0) -> bool:
             return None
         return rng.integers(0, k, size=reps[i]), rng.integers(0, k, size=reps[i])
 
-    occ = np.append(sizes > 0, False)
-    lo = a.ambient.lo
-    for i, _, d, t in pair_targets(a, draw):
-        hit = occ[t] & (d != 0)
+    size, lo = a.ambient.size, a.ambient.lo
+    occ = lagged_table(a, sizes > 0)
+    for i, _, _, t in pair_targets(a, draw):
+        hit = occ[t] & (t != i + size - 1)
         if hit.any():
+            x_prime = lagged_table(a, np.arange(lo, lo + size))[t[hit][0]]
             raise FalsificationError(
                 f"construction contains a skew corner through columns "
-                f"{i + lo} and {int(t[hit][0]) + lo}"
+                f"{i + lo} and {x_prime}"
             )
     return True
 

@@ -11,9 +11,11 @@ knows that layout; the others go through `column`, `column_sizes`,
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -255,8 +257,15 @@ def transpose(a: GridSet) -> GridSet:
 
 # ---------------------------------------------------------------------------
 # `skewset v1` file format: line 1 "skewset 1", line 2 "ambient grid <n>" or
-# "ambient torus <N>", then one "x y" pair per line.  Text, UTF-8, LF.
+# "ambient torus <N>", then one "x y" pair per line.  Text, UTF-8, written
+# with LF line ends.
 # ---------------------------------------------------------------------------
+
+_SPACE = " \t"
+_POINT_LINE = re.compile(r"([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)")
+# every byte a point body may hold; numpy's reader is laxer outside them
+_BODY_BYTES = b"0123456789+-\n" + _SPACE.encode()
+
 
 def dumps_skewset(a: GridSet) -> str:
     lines = ["skewset 1", f"ambient {a.ambient.kind} {a.ambient.size}"]
@@ -269,39 +278,75 @@ def save_skewset(a: GridSet, path: str | Path) -> None:
 
 
 def loads_skewset(text: str) -> GridSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "skewset 1":
+    """Parse `skewset v1` text.  Lines end in LF, CRLF or CR; blank lines
+    (spaces and tabs only) may appear anywhere; a point line is two tokens
+    separated by spaces or tabs, each an optional sign and ASCII digits.
+
+    The body is parsed in one vectorised call.  Only when that fails, or
+    when a repeated point shortens the set, does `_first_error` walk the
+    lines to name the first bad line, out-of-range point or repeat.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    head: list[str] = []
+    pos = 0
+    while len(head) < 2 and pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        if line := text[pos:end].strip(_SPACE):
+            head.append(line)
+        pos = end + 1
+    if not head or head[0] != "skewset 1":
         raise FormatError("missing 'skewset 1' header")
-    if len(lines) < 2:
+    if len(head) < 2:
         raise FormatError("missing ambient line")
-    parts = lines[1].split()
+    parts = head[1].split()
     if len(parts) != 3 or parts[0] != "ambient" or parts[1] not in (GRID, TORUS):
-        raise FormatError(f"bad ambient line {lines[1]!r}")
+        raise FormatError(f"bad ambient line {head[1]!r}")
     try:
         amb = Ambient(parts[1], int(parts[2]))
     except ValueError as exc:
-        raise FormatError(f"bad ambient size in {lines[1]!r}") from exc
-    pts: list[tuple[int, int]] = []
-    for ln in lines[2:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise FormatError(f"bad point line {ln!r}")
-        try:
-            pts.append((int(toks[0]), int(toks[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad point line {ln!r}") from exc
+        raise FormatError(f"bad ambient size in {head[1]!r}") from exc
+    body = text[pos:]
+    if not body.strip(_SPACE + "\n"):
+        return make_grid_set((), amb)
+    raw = body.encode("ascii", errors="replace")  # "?" for non-ASCII
+    if raw.translate(None, _BODY_BYTES):
+        _first_error(body, amb)
     try:
-        a = make_grid_set(pts, amb)
-    except OverflowError:  # beyond int64, so certainly outside the ambient
-        p = next(p for p in pts if not (amb.in_range(p[0]) and amb.in_range(p[1])))
-        raise CoordinateError(f"point {p} outside {amb}") from None
-    if len(a) < len(pts):  # some point repeats: name its first repeat
-        seen: set[tuple[int, int]] = set()
-        for p in pts:
-            if p in seen:
-                raise FormatError(f"duplicate point {p}")
-            seen.add(p)
+        xy = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):  # a bad token or line, or beyond int64
+        _first_error(body, amb)
+    if xy.shape[1] != 2:
+        _first_error(body, amb)
+    a = GridSet.from_arrays(xy[:, 0], xy[:, 1], amb)
+    if len(a) < xy.shape[0]:
+        _first_error(body, amb)
     return a
+
+
+def _first_error(body: str, amb: Ambient) -> NoReturn:
+    """Raise for the first bad point line of `body`, else for the first
+    point outside `amb`, else for the first repeated point."""
+    pts = []
+    for line in body.split("\n"):
+        if not (line := line.strip(_SPACE)):
+            continue
+        m = _POINT_LINE.fullmatch(line)
+        if m is None:
+            raise FormatError(f"bad point line {line!r}")
+        pts.append((int(m[1]), int(m[2])))
+    for p in pts:
+        if not (amb.in_range(p[0]) and amb.in_range(p[1])):
+            raise CoordinateError(f"point {p} outside {amb}")
+    seen: set[tuple[int, int]] = set()
+    for p in pts:
+        if p in seen:
+            raise FormatError(f"duplicate point {p}")
+        seen.add(p)
+    # every line reads and every point is in range, yet numpy refused a
+    # value: only an ambient wider than int64 gets here
+    raise CoordinateError(f"a point of {amb} does not fit in int64")
 
 
 def load_skewset(path: str | Path) -> GridSet:

@@ -51,58 +51,74 @@ class CornerCount:
         return self.trivial + self.nontrivial
 
 
+# Column pairs are differenced in row blocks of at most this many entries
+# (512 KiB of int64), so memory stays flat however tall a column is.
+_PAIR_BLOCK = 1 << 16
+
+
+def lagged_table(a: GridSet, per_column: np.ndarray) -> np.ndarray:
+    """Lay a per-column array out over every column index i + d with
+    |d| < size: entry i + d + size - 1 holds the value at column i + d,
+    wrapped on a torus and 0 off a grid, so the table has 3 size - 2
+    entries.  This is the one place a column plus a difference is mapped
+    to a column."""
+    if a.ambient.kind == TORUS:
+        return np.concatenate((per_column[1:], per_column, per_column[:-1]))
+    pad = np.zeros(a.ambient.size - 1, dtype=per_column.dtype)
+    return np.concatenate((pad, per_column, pad))
+
+
 PairDraw = Callable[[int, int], Optional[tuple[np.ndarray, np.ndarray]]]
 
 
 def pair_targets(
     a: GridSet, draw: Optional[PairDraw] = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Map the pair differences of each column to the column they point at.
 
     Walks the columns x = i + lo holding at least two points (a lone point
-    has only the trivial pair d = 0) and yields (i, ys, d, t).  `d` holds
-    the differences ys[j2] - ys[j1], over all position pairs as a k x k
-    array, or over the pairs (j1, j2) that `draw(i, k)` returns, skipping
-    the column when it returns None.  `t` holds the index of column x + d,
-    wrapped on a torus and -1 where x + d leaves the grid, so it can index
-    a per-column array padded with one trailing "no column" entry.
+    has only the trivial pair d = 0) and yields (i, ys, j0, t), where t
+    indexes a `lagged_table`: t = i + d + size - 1 for d = ys[j2] - ys[j1].
+    Over all position pairs, t covers the rows j1 = j0, j0 + 1, ... of the
+    k x k difference array in blocks of at most _PAIR_BLOCK entries (row r
+    of t is j1 = j0 + r).  With `draw`, t covers the pairs (j1, j2) that
+    `draw(i, k)` returns as one flat block with j0 = 0, and the column is
+    skipped when it returns None.  d = 0 exactly where t == i + size - 1.
     """
     size = a.ambient.size
-    on_torus = a.ambient.kind == TORUS
     for i, ys in a.nonempty_columns():
         if ys.size < 2:
             continue
-        if draw is None:
-            d = ys[None, :] - ys[:, None]
-        else:
+        at = ys + (i + size - 1)
+        if draw is not None:
             pairs = draw(i, ys.size)
-            if pairs is None:
-                continue
-            d = ys[pairs[1]] - ys[pairs[0]]
-        t = i + d
-        if on_torus:
-            t %= size
-        else:
-            t[(t < 0) | (t >= size)] = -1
-        yield i, ys, d, t
+            if pairs is not None:
+                yield i, ys, 0, at[pairs[1]] - ys[pairs[0]]
+            continue
+        rows = max(1, _PAIR_BLOCK // ys.size)
+        for j0 in range(0, ys.size, rows):
+            yield i, ys, j0, at[None, :] - ys[j0 : j0 + rows, None]
 
 
 def find_skew_corner(a: GridSet) -> Optional[Witness]:
     """Return a nontrivial skew-corner witness, or None if the set is free.
 
     For each column x, every nonzero difference d of a pair in the column
-    is checked against the occupancy of column x+d.
+    is checked against the occupancy of column x+d.  The witness is the
+    first hit in (column, j1, j2) order.
     """
-    occ = np.append(a.column_sizes() > 0, False)
-    for i, ys, d, t in pair_targets(a):
-        hit = occ[t] & (d != 0)
+    size, lo = a.ambient.size, a.ambient.lo
+    occ = lagged_table(a, a.column_sizes() > 0)
+    for i, ys, j0, t in pair_targets(a):
+        hit = occ[t] & (t != i + size - 1)
         if hit.any():
             j1, j2 = np.unravel_index(int(np.argmax(hit)), hit.shape)
+            x_prime = lagged_table(a, np.arange(lo, lo + size))[t[j1, j2]]
             return Witness(
-                x=i + a.ambient.lo,
-                y=int(ys[j1]),
-                y_prime=a.column(int(t[j1, j2]) + a.ambient.lo)[0],
-                d=int(d[j1, j2]),
+                x=i + lo,
+                y=int(ys[j0 + j1]),
+                y_prime=a.column(int(x_prime))[0],
+                d=int(t[j1, j2]) - (i + size - 1),
             )
     return None
 
@@ -119,14 +135,17 @@ def is_bi_skew_corner_free(a: GridSet) -> bool:
 def count_skew_corners_naive(a: GridSet) -> CornerCount:
     """Exact reference count by direct enumeration of per-column pairs.
 
-    O(sum_x |A_x|^2 + size^2); 64-bit integer arithmetic throughout.
+    O(sum_x |A_x|^2 + size^2) time and O(size) memory beyond the set, since
+    the pairs come in blocks; 64-bit integer arithmetic throughout.
     """
-    sizes = np.append(a.column_sizes(), 0)
-    nontrivial = 0
-    for _, ys, _, t in pair_targets(a):
-        # the k trivial pairs d = 0 each meet their own column of k points
-        nontrivial += int(sizes[t].sum()) - ys.size**2
-    return CornerCount(trivial=int((sizes * sizes).sum()), nontrivial=nontrivial)
+    sizes = a.column_sizes()
+    table = lagged_table(a, sizes)
+    pairs = sum(int(table[t].sum()) for _, _, _, t in pair_targets(a))
+    trivial = int((sizes * sizes).sum())
+    # the pairs include each column's k trivial pairs d = 0, which meet its
+    # own k points, except in the skipped columns of one point
+    nontrivial = pairs - trivial + int((sizes == 1).sum())
+    return CornerCount(trivial=trivial, nontrivial=nontrivial)
 
 
 def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -157,6 +176,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     sizes = t.column_sizes()
     N = sizes.size
     trivial = int((sizes * sizes).sum())
+    table = lagged_table(t, sizes)
     total = 0
     for cols, power in column_power(t):
         corr = np.fft.ifft(power, axis=1).real
@@ -167,7 +187,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
                 f"autocorrelation rounding residue {residue:.3g} exceeds "
                 f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
             )
-        lagged = sizes[(cols[:, None] + np.arange(N)) % N]  # |A_{x+d}|
+        lagged = table[cols[:, None] + np.arange(N - 1, 2 * N - 1)]  # |A_{x+d}|
         total += int(np.einsum("xd,xd->", corr_int.astype(np.int64), lagged))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 

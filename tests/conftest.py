@@ -81,6 +81,24 @@ def brute_skew_tuples(a: sl.GridSet) -> tuple[int, int]:
     return trivial, nontrivial
 
 
+def brute_first_corner(a: sl.GridSet):
+    """The first skew corner in (column x, j1, j2) order, where j1, j2 run
+    over the positions of the column's sorted y-values, as a Witness whose
+    y' is the lowest point of column x + d; None if the set is free."""
+    size, lo = a.ambient.size, a.ambient.lo
+    for x in range(lo, lo + size):
+        col = a.column(x)
+        for y1 in col:
+            for y2 in col:
+                d = y2 - y1
+                x3 = x + d
+                if a.ambient.kind == "torus":
+                    x3 %= size
+                if d != 0 and lo <= x3 < lo + size and a.column(x3):
+                    return sl.Witness(x=x, y=y1, y_prime=a.column(x3)[0], d=d)
+    return None
+
+
 def brute_has_skew_corner(a: sl.GridSet) -> bool:
     return brute_skew_tuples(a)[1] > 0
 
@@ -117,6 +135,45 @@ def brute_max_free(n: int, torus: bool, bi: bool = False) -> int:
             continue
         best = mask.bit_count()
     return best
+
+
+def reference_loads(text: str) -> sl.GridSet:
+    """A line-by-line `skewset v1` parser: every line split and every token
+    read by `int()`, so errors name the first bad line, then the first
+    out-of-range point, then the first repeat."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "skewset 1":
+        raise sl.FormatError("missing 'skewset 1' header")
+    if len(lines) < 2:
+        raise sl.FormatError("missing ambient line")
+    parts = lines[1].split()
+    if len(parts) != 3 or parts[0] != "ambient" or parts[1] not in ("grid", "torus"):
+        raise sl.FormatError(f"bad ambient line {lines[1]!r}")
+    try:
+        amb = sl.Ambient(parts[1], int(parts[2]))
+    except ValueError as exc:
+        raise sl.FormatError(f"bad ambient size in {lines[1]!r}") from exc
+    pts: list[tuple[int, int]] = []
+    for ln in lines[2:]:
+        toks = ln.split()
+        if len(toks) != 2:
+            raise sl.FormatError(f"bad point line {ln!r}")
+        try:
+            pts.append((int(toks[0]), int(toks[1])))
+        except ValueError as exc:
+            raise sl.FormatError(f"bad point line {ln!r}") from exc
+    try:
+        a = sl.make_grid_set(pts, amb)
+    except OverflowError:  # beyond int64, so certainly outside the ambient
+        p = next(p for p in pts if not (amb.in_range(p[0]) and amb.in_range(p[1])))
+        raise sl.CoordinateError(f"point {p} outside {amb}") from None
+    if len(a) < len(pts):  # some point repeats: name its first repeat
+        seen: set[tuple[int, int]] = set()
+        for p in pts:
+            if p in seen:
+                raise sl.FormatError(f"duplicate point {p}")
+            seen.add(p)
+    return a
 
 
 def greedy_free_set(n: int, rng: np.random.Generator) -> sl.GridSet:

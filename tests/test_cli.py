@@ -305,10 +305,13 @@ def test_construct_reports_how_it_verified(capsys, monkeypatch):
         rep = json.loads(out)
         assert rep["verification"] == want, argv
         assert rep["verified"] is (want == "exhaustive"), argv
+        assert "probes" not in rep and "seed" not in rep, argv
     # above the exhaustive limit the probes still pass a free set, and the
-    # report says they were probes
+    # report says they were probes, how many and from which seed
     monkeypatch.setattr("skewlab.construct.VERIFY_EXHAUSTIVE_MAX", 0)
-    code, out, _ = run_cli(capsys, "construct", "sphere", "--n", "1024")
-    rep = json.loads(out)
-    assert code == 0 and rep["verified"] is True
-    assert rep["verification"] == "sampled"
+    for argv, seed in [((), 0), (("--seed", "7"), 7)]:
+        code, out, _ = run_cli(capsys, "construct", "sphere", "--n", "1024", *argv)
+        rep = json.loads(out)
+        assert code == 0 and rep["verified"] is True
+        assert rep["verification"] == "sampled"
+        assert rep["probes"] == 10**6 and rep["seed"] == seed

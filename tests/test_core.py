@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
-from conftest import brute_has_skew_corner, rand_torus_set
+from conftest import brute_has_skew_corner, peak_memory, rand_torus_set, reference_loads
 
 
 def test_make_grid_set_singleton():
@@ -148,6 +148,94 @@ def test_skewset_rejects_bad_input():
         sl.loads_skewset("skewset 1\nambient torus 6\n0 7\n")
     with pytest.raises(sl.CoordinateError):
         sl.loads_skewset("skewset 1\nambient grid 6\n0 3\n")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except sl.SkewLabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def noisy_skewset_text(draw):
+    """A dumped small set, maybe with a repeated point line, rewritten with
+    blank lines (also before the header), LF, CRLF and lone CR line ends,
+    tab and space separators, padding and '+' signs."""
+    kind = draw(st.sampled_from(["grid", "torus"]))
+    size = draw(st.integers(1, 8))
+    lo = 1 if kind == "grid" else 0
+    coord = st.integers(lo, lo + size - 1)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=12, unique=True))
+    lines = sl.dumps_skewset(sl.make_grid_set(pts, sl.Ambient(kind, size))).split("\n")[:-1]
+    if len(lines) > 2 and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines[2:])))
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t", " \t"])
+    out = []
+    for i, line in enumerate(lines):
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(pad))
+        toks = line.split(" ")
+        if i >= 2:
+            toks = [("+" if draw(st.booleans()) else "") + t for t in toks]
+        sep = " " if i == 0 else draw(space)
+        out.append(draw(pad) + sep.join(toks) + draw(pad))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_skewset_text())
+def test_loads_matches_the_line_parser_on_noisy_text(text):
+    assert _outcome(sl.loads_skewset, text) == _outcome(reference_loads, text)
+
+
+H6 = "skewset 1\nambient torus 6\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        H6 + "1\n",
+        H6 + "1 2 3\n",
+        H6 + "a b\n",
+        H6 + "1.0 2\n",
+        H6 + "1e3 2\n",
+        H6 + "0 7\n",
+        H6 + "1 2\n99999999999999999999 1\n",
+        H6 + "1 1\n2 2\n1 1\n",
+        H6 + "0 9\n1 1\n1 1\n4 x\n",
+        H6 + "1 1\n1 1\n0 9\n",
+        "ambient torus 6\n1 1\n",
+        "\n \nskewset 1\n",
+        "skewset 1\nambient ring 6\n",
+        "skewset 1\nambient grid x\n",
+    ],
+)
+def test_loads_errors_match_the_line_parser(text):
+    want_type, want_msg = _outcome(reference_loads, text)
+    with pytest.raises(want_type) as exc:
+        sl.loads_skewset(text)
+    assert type(exc.value) is want_type and str(exc.value) == want_msg
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "0x1", "1\xa0", "1\x0b"])
+def test_loads_refuses_tokens_outside_the_grammar(token):
+    # int() and str.split() read these; the token grammar (a sign and ASCII
+    # digits, separated by spaces or tabs) does not
+    with pytest.raises(sl.FormatError, match="bad point line"):
+        sl.loads_skewset(H6 + f"{token} 2\n")
+
+
+def test_loads_memory_stays_near_the_text_size():
+    # 2 * 10^5 points of the torus 1024, 1.4 MB of text
+    cells = np.random.default_rng(31).choice(1024**2, 200_000, replace=False)
+    a = sl.GridSet.from_arrays(*np.divmod(cells, 1024), sl.torus(1024))
+    text = sl.dumps_skewset(a)
+    with peak_memory() as peak:
+        assert sl.loads_skewset(text) == a
+    assert peak.bytes < 20 * 2**20
 
 
 def test_grid_set_immutable_value_semantics():

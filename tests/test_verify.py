@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 import skewlab as sl
 from conftest import (
     brute_corner_tuples,
+    brute_first_corner,
     brute_skew_tuples,
+    peak_memory,
     rand_grid_set,
     rand_torus_set,
 )
@@ -166,3 +169,69 @@ def test_fft_residue_guard_raises_precision_error(monkeypatch):
     a = sl.make_grid_set([(0, 0), (0, 1), (1, 0)], sl.torus(4))
     with pytest.raises(sl.PrecisionError):
         sl.count_skew_corners_fft(a)
+
+
+@pytest.fixture(scope="module")
+def kernel_corpus() -> list[tuple[sl.GridSet, tuple[int, int]]]:
+    """Seeded torus and grid sets of small, odd and non-power-of-two sides,
+    plus a grid set with one column of 300 points, each with its
+    brute-force tuple counts."""
+    rng = np.random.default_rng(21)
+    sets = [
+        make(rng, side, density)
+        for make in (rand_torus_set, rand_grid_set)
+        for side in (1, 2, 3, 5, 7, 12)
+        for density in (0.3, 0.7, 1.0)
+    ]
+    tall = [(7, int(y)) for y in rng.choice(np.arange(1, 302), 300, replace=False)]
+    extra = [(int(x), int(y)) for x, y in rng.integers(1, 302, (30, 2))]
+    sets.append(sl.make_grid_set(tall + extra, sl.grid(301)))
+    return [(a, brute_skew_tuples(a)) for a in sets]
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, None])
+def test_pair_blocks_match_definitions(monkeypatch, kernel_corpus, block):
+    """Row blocks of one row, a few rows and the default size give the
+    brute-force count, the first corner in (column, j1, j2) order, and
+    sampled probes that name two columns really forming a corner."""
+    if block is not None:
+        monkeypatch.setattr("skewlab.verify._PAIR_BLOCK", block)
+    monkeypatch.setattr("skewlab.construct.VERIFY_EXHAUSTIVE_MAX", 0)
+    raised = 0
+    for a, (t, nt) in kernel_corpus:
+        assert sl.count_skew_corners_naive(a) == sl.CornerCount(t, nt)
+        w = sl.find_skew_corner(a)
+        assert w == brute_first_corner(a)
+        if w is not None:
+            assert (w.x, w.y) in a and (w.x, w.y + w.d) in a
+            x3 = w.x + w.d
+            assert (x3 % a.ambient.size if a.ambient.kind == "torus" else x3, w.y_prime) in a
+        try:
+            assert sl.verify_free(a, probes=200, seed=block or 0) is True
+        except sl.FalsificationError as exc:
+            raised += 1
+            x, x3 = map(int, re.search(r"columns (\d+) and (\d+)", str(exc)).groups())
+            assert _columns_form_a_corner(a, x, x3), (a, str(exc))
+    assert raised >= 10
+
+
+def _columns_form_a_corner(a: sl.GridSet, x: int, x3: int) -> bool:
+    """Some pair y, y + d of column x with d != 0 has x + d = x3 (mod N on
+    a torus), and column x3 is nonempty."""
+    N, col = a.ambient.size, a.column(x)
+    on_torus = a.ambient.kind == "torus"
+    for y1, y2 in itertools.product(col, col):
+        d = y2 - y1
+        if d != 0 and a.column(x3) and ((x + d - x3) % N == 0 if on_torus else x + d == x3):
+            return True
+    return False
+
+
+def test_pair_kernel_memory_is_flat_in_the_column_height():
+    # one free column of 4000 points: 1.6 * 10^7 pairs, no corner to stop at
+    a = sl.make_grid_set([(1, y) for y in range(1, 4001)], sl.grid(4000))
+    with peak_memory() as count_peak:
+        assert sl.count_skew_corners_naive(a) == sl.CornerCount(4000**2, 0)
+    with peak_memory() as find_peak:
+        assert sl.find_skew_corner(a) is None
+    assert count_peak.bytes < 8 * 2**20 and find_peak.bytes < 8 * 2**20
