@@ -11,16 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import GridSet, grid, torus
-from .errors import FalsificationError, ParameterError
+from .errors import CapabilityError, FalsificationError, ParameterError
 from .verify import find_skew_corner, lagged_table, pair_targets
 
-# Row block size for the inner-product scans, in matrix entries.
+# Row block size for the inner-product scan, in matrix entries.
 _SCAN_CHUNK = 4_000_000
+
+# Largest point set a construction materializes.
+MAX_POINTS = 50_000_000
+
+# Largest generating-function table `_sphere_params` allocates (32 MiB).
+MAX_SERIES_ENTRIES = 1 << 22
 
 # `verify_free` runs the exhaustive check up to this column-pair work
 # sum_x |A_x|^2 and VERIFY_PROBES random pair probes above it.
@@ -95,8 +101,7 @@ def freiman_embed(x: Sequence[int], m: int, d: int) -> int:
 
 def _box_points(m: int, d: int) -> np.ndarray:
     """All points of [m]^d as an (m^d, d) int array, lexicographic order."""
-    grids = np.meshgrid(*([np.arange(1, m + 1)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    return np.indices((m,) * d, dtype=np.int64).reshape(d, -1).T + 1
 
 
 def _embed_many(pts: np.ndarray, m: int) -> np.ndarray:
@@ -105,39 +110,68 @@ def _embed_many(pts: np.ndarray, m: int) -> np.ndarray:
     return 1 + (pts - 1) @ weights
 
 
-def _inner_products(
-    rows: np.ndarray, box: np.ndarray, cols: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(chunk, P) for consecutive blocks `chunk` of `rows`, with
-    P[i, j] = <box[chunk[i]], box[cols[j]]>."""
+def _series(
+    terms: Sequence[tuple[int, ...]], d: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Coefficients of (sum_{e in terms} z^e)^d truncated to `shape`, by d
+    rounds of exact int64 shifted adds."""
+    if math.prod(shape) > MAX_SERIES_ENTRIES:
+        raise CapabilityError(
+            f"series table of shape {shape} exceeds {MAX_SERIES_ENTRIES} entries"
+        )
+    top = np.max(terms, axis=0)
+    out = np.zeros(shape, dtype=np.int64)
+    out[(0,) * len(shape)] = 1
+    for k in range(1, d + 1):
+        lim = np.minimum(shape, k * top + 1)  # support after k rounds
+        prev, out = out, np.zeros(shape, dtype=np.int64)
+        for e in terms:
+            if (e < lim).all():
+                out[tuple(map(slice, e, lim))] += prev[tuple(map(slice, lim - e))]
+    return out
+
+
+def _sphere_params(n: int, bi: bool) -> tuple[SphereParams, int]:
+    """(r, t) and the pair count at the balanced (m, d), as first maxima of
+    generating functions over a, b in [m]: plain takes [u^r v^t] of
+    (sum u^(a^2) v^(ab))^d; bi takes r from (sum u^(a^2))^d, then t from
+    [u^r w^r v^t] of (sum u^(a^2) w^(b^2) v^(ab))^d truncated to (r+1)^3,
+    as t <= r by Cauchy-Schwarz."""
+    m, d = _choose_dimensions(n)
+    if m ** (2 * d) >= 2**63:
+        raise CapabilityError(f"n={n}: pair counts up to {m}^{2 * d} overflow int64")
+    ab = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1)]
+    if bi:
+        norms = _series([(a * a,) for a in range(1, m + 1)], d, (d * m * m + 1,))
+        r = int(np.argmax(norms))
+        table = _series([(a * a, b * b, a * b) for a, b in ab], d, (r + 1,) * 3)[r, r]
+        t = int(np.argmax(table))
+        count = table[t]
+    else:
+        table = _series([(a * a, a * b) for a, b in ab], d, (d * m * m + 1,) * 2)
+        r, t = (int(v) for v in np.unravel_index(np.argmax(table), table.shape))
+        count = table[r, t]
+    return SphereParams(m=m, d=d, r=r, t=t), int(count)
+
+
+def _sphere_pairs(
+    m: int, d: int, r: int, t: int, bi: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs at (r, t) as two (k, d) arrays, in (x, y) lexicographic
+    order: the x on the sphere ||x||^2 = r scanned in blocks against the
+    box (or, if `bi`, against the same sphere)."""
+    box = _box_points(m, d)
+    rows = np.flatnonzero((box * box).sum(axis=1) == r)
+    cols = rows if bi else np.arange(len(box))
     xf = box.astype(np.float64)
     block = max(1, _SCAN_CHUNK // max(1, len(cols)))
+    out_i, out_j = [rows[:0]], [cols[:0]]
     for s in range(0, len(rows), block):
         chunk = rows[s : s + block]
-        yield chunk, np.rint(xf[chunk] @ xf[cols].T).astype(np.int64)
-
-
-def _inner_product_counts(
-    rows: np.ndarray, box: np.ndarray, cols: np.ndarray, tmax: int
-) -> np.ndarray:
-    """Histogram of <x, y> over x in box[rows], y in box[cols]."""
-    counts = np.zeros(tmax + 1, dtype=np.int64)
-    for _, sub in _inner_products(rows, box, cols):
-        counts += np.bincount(sub.ravel(), minlength=tmax + 1)
-    return counts
-
-
-def _pairs_with_product(
-    rows: np.ndarray, box: np.ndarray, cols: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i in rows, j in cols) with <box[i], box[j]> = t."""
-    empty = np.array([], dtype=np.int64)
-    out_i, out_j = [empty], [empty]
-    for chunk, sub in _inner_products(rows, box, cols):
-        ii, jj = np.nonzero(sub == t)
+        ii, jj = np.nonzero(np.rint(xf[chunk] @ xf[cols].T) == t)
         out_i.append(chunk[ii])
         out_j.append(cols[jj])
-    return np.concatenate(out_i), np.concatenate(out_j)
+    return box[np.concatenate(out_i)], box[np.concatenate(out_j)]
 
 
 def sphere_family(
@@ -151,15 +185,8 @@ def sphere_family(
         raise ParameterError("need m >= 1 and d >= 1")
     if not (1 <= r <= d * m * m and 1 <= t <= d * m * m):
         raise ParameterError(f"(r, t) = ({r}, {t}) outside [1, {d * m * m}]^2")
-    box = _box_points(m, d)
-    norms = (box * box).sum(axis=1)
-    rows = np.flatnonzero(norms == r)
-    cols = rows if bi else np.arange(len(box))
-    ii, jj = _pairs_with_product(rows, box, cols, t)
-    return [
-        (tuple(int(v) for v in box[i]), tuple(int(v) for v in box[j]))
-        for i, j in zip(ii, jj)
-    ]
+    xs, ys = _sphere_pairs(m, d, r, t, bi)
+    return [(tuple(x), tuple(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 def _choose_dimensions(n: int) -> tuple[int, int]:
@@ -180,41 +207,11 @@ def sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
     """Largest sphere pair set at the balanced choice of (m, d), embedded
     into [n]^2.
 
-    Scans all realized (r, t); the pigeonhole guarantees the winner has at
-    least m^(2d-4)/d^2 pairs.  Ties broken by smallest (r, t).
+    Picks (r, t) by generating function (see `_sphere_params`); the
+    pigeonhole guarantees the winner has at least m^(2d-4)/d^2 pairs.
+    Ties broken by smallest (r, t).
     """
-    m, d = _choose_dimensions(n)
-    box = _box_points(m, d)
-    norms = (box * box).sum(axis=1)
-    tmax = d * m * m
-    best = (0, -1, -1)  # (count, r, t)
-    all_cols = np.arange(len(box))
-    for r in np.unique(norms):
-        rows = np.flatnonzero(norms == r)
-        counts = _inner_product_counts(rows, box, all_cols, tmax)
-        t = int(np.argmax(counts))
-        c = int(counts[t])
-        if c > best[0]:
-            best = (c, int(r), t)
-    count, r, t = best
-    params = SphereParams(m=m, d=d, r=r, t=t)
-    return _sphere_set(n, params, box, np.flatnonzero(norms == r), all_cols, count)
-
-
-def _sphere_set(
-    n: int, params: SphereParams, box: np.ndarray,
-    rows: np.ndarray, cols: np.ndarray, count: int,
-) -> tuple[GridSet, SphereParams]:
-    """Embed the pairs of box[rows] x box[cols] with inner product t into
-    [n]^2 and check that all `count` of them survive the embedding."""
-    ii, jj = _pairs_with_product(rows, box, cols, params.t)
-    m = params.m
-    out = GridSet.from_arrays(_embed_many(box[ii], m), _embed_many(box[jj], m), grid(n))
-    if len(out) != count:
-        raise FalsificationError(
-            "digit embedding collapsed sphere pairs; phi not injective"
-        )
-    return out, params
+    return _sphere_set(n, bi=False)
 
 
 def bi_sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
@@ -225,17 +222,25 @@ def bi_sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
     on that sphere (at least m^(2d-6)/d^3 pairs).  The pair set is symmetric
     under transposition, so it is bi-skew-corner-free.
     """
-    m, d = _choose_dimensions(n)
-    box = _box_points(m, d)
-    norms = (box * box).sum(axis=1)
-    values, sizes = np.unique(norms, return_counts=True)
-    r = int(values[np.argmax(sizes)])  # first max: smallest r wins ties
-    rows = np.flatnonzero(norms == r)
-    tmax = d * m * m
-    counts = _inner_product_counts(rows, box, rows, tmax)
-    t = int(np.argmax(counts))
-    params = SphereParams(m=m, d=d, r=r, t=t)
-    return _sphere_set(n, params, box, rows, rows, int(counts[t]))
+    return _sphere_set(n, bi=True)
+
+
+def _sphere_set(n: int, bi: bool) -> tuple[GridSet, SphereParams]:
+    """Embed the pairs at `_sphere_params(n, bi)` into [n]^2 and check that
+    all `count` of them survive the embedding."""
+    params, count = _sphere_params(n, bi)
+    if count > MAX_POINTS:
+        raise ParameterError(
+            f"sphere set would have {count} points; refusing to materialize"
+        )
+    m = params.m
+    xs, ys = _sphere_pairs(m, params.d, params.r, params.t, bi)
+    out = GridSet.from_arrays(_embed_many(xs, m), _embed_many(ys, m), grid(n))
+    if len(out) != count:
+        raise FalsificationError(
+            "digit embedding collapsed sphere pairs; phi not injective"
+        )
+    return out, params
 
 
 def product_exponent(b: int, n: int) -> int:
@@ -269,15 +274,15 @@ def product_construction(
         raise ParameterError(f"n={n} is below the base modulus {b}")
     digits = np.array(sorted(base.points.points()), dtype=np.int64)
     s = len(digits)
-    if s**k > 50_000_000:
+    if s**k > MAX_POINTS:
         raise ParameterError(
             f"product set would have {s}^{k} points; refusing to materialize"
         )
-    # choice[j] holds the j-th digit index of every tuple in S^k
-    choice = np.indices((s,) * k).reshape(k, -1)
-    weights = b ** np.arange(k, dtype=np.int64)
-    xs = 1 + (digits[choice, 0] * weights[:, None]).sum(axis=0)
-    ys = 1 + (digits[choice, 1] * weights[:, None]).sum(axis=0)
+    # one digit per step, newest digit fastest: memory stays O(s^k)
+    xs = ys = np.ones(1, dtype=np.int64)
+    for j in range(k):
+        xs = (xs[:, None] + b**j * digits[None, :, 0]).ravel()
+        ys = (ys[:, None] + b**j * digits[None, :, 1]).ravel()
     out = GridSet.from_arrays(xs, ys, grid(n))
     if len(out) != len(base) ** k:
         raise FalsificationError("digit tuples collided; product size wrong")
@@ -354,17 +359,11 @@ def fitted_c(n: int, size: int) -> float:
 
 
 def growth_table(n_list: Iterable[int], bi: bool = False) -> list[GrowthRow]:
-    """Run the sphere construction over `n_list` and fit the exponent
-    (see `fitted_c`)."""
+    """Sphere set sizes over `n_list`, read off the generating functions
+    (see `_sphere_params`) without building any set, with the fitted
+    exponent (see `fitted_c`)."""
     rows = []
-    build = bi_sphere_construction if bi else sphere_construction
     for n in n_list:
-        a, params = build(n)
-        size = len(a)
-        rows.append(
-            GrowthRow(
-                n=n, size=size, density=size / n**2,
-                fitted_c=fitted_c(n, size), params=params,
-            )
-        )
+        params, size = _sphere_params(n, bi)
+        rows.append(GrowthRow(n, size, size / n**2, fitted_c(n, size), params))
     return rows

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .core import GRID, GridSet, embed_torus, grid, make_grid_set, torus
+from .core import GRID, GridSet, embed_torus, grid, make_grid_set
 from .errors import FalsificationError, ParameterError
 from .fourier import (
     AnalysisConfig,
@@ -37,8 +37,6 @@ from .fourier import (
 )
 from .verify import (
     check_fft_side,
-    count_corners,
-    count_skew_corners_fft,
     find_skew_corner,
 )
 
@@ -683,24 +681,24 @@ def product_set_experiment(
     skew corners (alpha = beta^2), against alpha^3 N^4 for a truly random
     set of the same density; corner counts land near alpha^2 N^3 the same
     way.  Elements of B are sampled independently with probability beta.
+    With r_B the cyclic autocorrelation of B, B x B has exactly
+    |B| sum_d r_B(d)^2 skew-corner tuples and sum_d r_B(d)^2 corner tuples.
     """
-    if N > 256:
-        raise ParameterError("experiment capped at N <= 256")
+    if not 1 <= N <= 256:
+        raise ParameterError(f"experiment needs 1 <= N <= 256, got {N}")
     if not 0 <= beta <= 1:
         raise ParameterError("beta must lie in [0, 1]")
     if trials < 1:
         raise ParameterError("need at least one trial")
     rng = np.random.default_rng(seed)
-    amb = torus(N)
     skew_total = 0
     corner_total = 0
     for _ in range(trials):
         elems = np.flatnonzero(rng.random(N) < beta)
-        xs = np.repeat(elems, elems.size)
-        ys = np.tile(elems, elems.size)
-        prod = GridSet.from_arrays(xs, ys, amb)
-        skew_total += count_skew_corners_fft(prod).total
-        corner_total += count_corners(prod).total
+        r = np.bincount(((elems[:, None] - elems) % N).ravel(), minlength=N)
+        squares = int((r * r).sum())
+        skew_total += elems.size * squares
+        corner_total += squares
     alpha = beta**2
     mean_skew = skew_total / trials
     mean_corners = corner_total / trials

@@ -6,6 +6,8 @@ route."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import skewlab as sl
+from skewlab.construct import _box_points, _choose_dimensions
 
 # The bi-skew-corner-free example set on the torus of side 6.
 EIGHT_POINTS = [(0, 0), (0, 1), (2, 0), (2, 3), (3, 1), (3, 3), (3, 5), (4, 0)]
@@ -119,22 +122,72 @@ def brute_corner_tuples(a: sl.GridSet) -> tuple[int, int]:
 
 
 def brute_max_free(n: int, torus: bool, bi: bool = False) -> int:
-    """Maximum size over all subsets, by full enumeration of the power set."""
-    lo = 0 if torus else 1
-    cells = [(x, y) for x in range(lo, lo + n) for y in range(lo, lo + n)]
-    amb = sl.torus(n) if torus else sl.grid(n)
-    best = 0
-    for mask in range(1 << len(cells)):
-        if mask.bit_count() <= best:
-            continue
-        pts = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        a = sl.make_grid_set(pts, amb)
-        if sl.find_skew_corner(a) is not None:
-            continue
-        if bi and sl.find_skew_corner(sl.transpose(a)) is not None:
-            continue
-        best = mask.bit_count()
-    return best
+    """Maximum size over all subsets, by full enumeration of the power set.
+
+    Every skew corner of the ambient (and, for `bi`, its transpose) is a
+    3-cell bitmask over the n*n cells, and a subset is free when it holds
+    none of them in full; all 2^(n*n) subsets are tested at once."""
+
+    def bit(x: int, y: int) -> int:
+        return 1 << (x * n + y)
+
+    corners = set()
+    for x, y, y3 in itertools.product(range(n), repeat=3):
+        for d in range(1 - n, n):
+            x3, y2 = x + d, y + d
+            if torus:
+                x3, y2 = x3 % n, y2 % n
+            if d == 0 or not (0 <= x3 < n and 0 <= y2 < n):
+                continue
+            corners.add(bit(x, y) | bit(x, y2) | bit(x3, y3))
+            if bi:
+                corners.add(bit(y, x) | bit(y2, x) | bit(y3, x3))
+    masks = np.arange(1 << (n * n), dtype=np.int64)
+    free = np.ones(masks.size, dtype=bool)
+    for c in corners:
+        free &= (masks & c) != c
+    return int(np.bitwise_count(masks[free]).max())
+
+
+def reference_sphere_params(n: int, bi: bool) -> tuple[sl.SphereParams, int]:
+    """The sphere pair set's (r, t) and size by scanning the inner products
+    of the box [m]^d: plain takes the first maximal (r, t) over all pairs,
+    bi the most popular norm r, then the first maximal t on that sphere."""
+    return _box_scan_params(*_choose_dimensions(n), bi)
+
+
+@functools.cache  # the choice depends on n only through (m, d)
+def _box_scan_params(m: int, d: int, bi: bool) -> tuple[sl.SphereParams, int]:
+    box = _box_points(m, d)
+    norms = (box * box).sum(axis=1)
+    tmax = d * m * m
+
+    def inner_product_counts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        xf = box.astype(np.float64)
+        counts = np.zeros(tmax + 1, dtype=np.int64)
+        block = max(1, 4_000_000 // max(1, len(cols)))
+        for s in range(0, len(rows), block):
+            sub = np.rint(xf[rows[s : s + block]] @ xf[cols].T).astype(np.int64)
+            counts += np.bincount(sub.ravel(), minlength=tmax + 1)
+        return counts
+
+    if bi:
+        values, sizes = np.unique(norms, return_counts=True)
+        r = int(values[np.argmax(sizes)])  # first max: smallest r wins ties
+        rows = np.flatnonzero(norms == r)
+        counts = inner_product_counts(rows, rows)
+        t = int(np.argmax(counts))
+        return sl.SphereParams(m=m, d=d, r=r, t=t), int(counts[t])
+    best = (0, -1, -1)  # (count, r, t)
+    all_cols = np.arange(len(box))
+    for r in np.unique(norms):
+        counts = inner_product_counts(np.flatnonzero(norms == r), all_cols)
+        t = int(np.argmax(counts))
+        c = int(counts[t])
+        if c > best[0]:
+            best = (c, int(r), t)
+    count, r, t = best
+    return sl.SphereParams(m=m, d=d, r=r, t=t), count
 
 
 def reference_loads(text: str) -> sl.GridSet:

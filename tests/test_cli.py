@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,34 @@ def test_growth_bi_json(capsys):
     assert len(rows) == 1 and rows[0]["n"] == 1024
 
 
+def test_growth_guards_at_their_boundaries(capsys):
+    code, _, err = run_cli(capsys, "growth", "--exps", "40..40")
+    assert code == 2 and "overflow int64" in err
+    code, out, _ = run_cli(
+        capsys, "growth", "--bi", "--exps", "28..28", "--format", "csv"
+    )
+    assert code == 0 and out.splitlines()[1].startswith("268435456,")
+    start = time.perf_counter()
+    with peak_memory() as peak:
+        code, _, err = run_cli(capsys, "growth", "--bi", "--exps", "30..30")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "exceeds 4194304 entries" in err
+    assert peak.bytes < 2**20
+
+
+def test_construct_sphere_refuses_above_the_point_limit(capsys, tmp_path):
+    out_path = tmp_path / "big.txt"
+    start = time.perf_counter()
+    with peak_memory() as peak:
+        code, out, err = run_cli(
+            capsys, "construct", "sphere", "--n", "268435456", "--out", str(out_path)
+        )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "502301100 points" in err and out == ""  # > 5 * 10^7
+    assert peak.bytes < 8 * 2**20
+    assert not out_path.exists()
+
+
 def test_diagnose_checks(capsys, eight_file):
     for check in ("gvn", "dichotomy", "parseval", "lambda"):
         if check == "dichotomy":
@@ -248,6 +277,12 @@ def test_experiment_cli(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["ratio_to_alpha_5_2"] == pytest.approx(1)
+    for N in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "experiment", "product-set", "--beta", "0.5",
+            "--N", N, "--trials", "1", "--seed", "0",
+        )
+        assert code == 2 and "1 <= N <= 256" in err and out == ""
 
 
 def test_exit_code_2_on_bad_input(capsys, tmp_path):

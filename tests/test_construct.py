@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
-from skewlab.construct import free_verification
+from skewlab.construct import _sphere_params, free_verification
+from conftest import peak_memory, reference_sphere_params
 
 
 def test_freiman_embed_examples():
@@ -202,3 +203,46 @@ def test_verify_free_samples_above_the_exhaustive_limit():
     alone = sl.make_grid_set(column, sl.grid(4500))
     assert free_verification(alone) == "sampled"
     assert sl.verify_free(alone) is True
+
+
+def _seeded_sphere_ns() -> list[int]:
+    """40 distinct n, log-uniform up to 2^21."""
+    rng = np.random.default_rng(2024)
+    ns: set[int] = set()
+    while len(ns) < 40:
+        ns.add(int(2 ** rng.uniform(1, 21)))
+    return sorted(ns)
+
+
+@pytest.mark.parametrize("bi", [False, True])
+def test_sphere_params_match_the_box_scan(bi):
+    for n in list(range(2, 3001)) + _seeded_sphere_ns():
+        assert _sphere_params(n, bi) == reference_sphere_params(n, bi), n
+
+
+@pytest.mark.parametrize("bi", [False, True])
+def test_growth_sizes_match_built_sets(bi):
+    build = sl.bi_sphere_construction if bi else sl.sphere_construction
+    ns = [2**e for e in range(2, 21)]
+    for row in sl.growth_table(ns, bi=bi):
+        a, params = build(row.n)
+        assert (row.size, row.params) == (len(a), params), row.n
+
+
+def test_sphere_params_int64_boundary():
+    params, count = _sphere_params(2**38, False)
+    assert (params, count) == (sl.SphereParams(13, 8, 480, 384), 9_447_648_138_544)
+    with peak_memory() as peak:
+        for bi in (False, True):
+            with pytest.raises(sl.CapabilityError, match="overflow int64"):
+                _sphere_params(2**40, bi)  # m = 16, d = 8: 16^16 = 2^64
+    assert peak.bytes < 2**20
+
+
+def test_product_construction_builds_one_digit_at_a_time():
+    base = sl.find_base_set(6)
+    assert len(base) == 9
+    with peak_memory() as peak:
+        a = sl.product_construction(base, 6**6)
+    assert len(a) == 9**6
+    assert peak.bytes < 48 * 2**20

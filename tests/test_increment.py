@@ -284,6 +284,20 @@ def test_experiment_beta_one_and_zero():
     assert rep.ratio_to_alpha_5_2 is None
 
 
+def test_experiment_counts_match_both_counters():
+    # one trial reproduces the experiment's draw of B, so its means are the
+    # closed forms |B| sum_d r_B(d)^2 and sum_d r_B(d)^2 of that single B x B
+    for N in range(1, 25):
+        for beta in (0, 0.3, 0.5, 1):
+            for seed in range(3):
+                elems = np.flatnonzero(np.random.default_rng(seed).random(N) < beta)
+                xs, ys = np.repeat(elems, elems.size), np.tile(elems, elems.size)
+                prod = sl.GridSet.from_arrays(xs, ys, sl.torus(N))
+                rep = sl.product_set_experiment(beta, N, 1, seed)
+                assert rep.mean_skew_count == sl.count_skew_corners_fft(prod).total
+                assert rep.mean_corner_count == sl.count_corners(prod).total
+
+
 def test_experiment_is_seeded():
     a = sl.product_set_experiment(0.5, 16, 5, 123)
     b = sl.product_set_experiment(0.5, 16, 5, 123)
@@ -295,3 +309,6 @@ def test_experiment_is_seeded():
 def test_experiment_rejects_large_N():
     with pytest.raises(sl.ParameterError):
         sl.product_set_experiment(0.5, 512, 1, 0)
+    for N in (0, -3):
+        with pytest.raises(sl.ParameterError, match="1 <= N <= 256"):
+            sl.product_set_experiment(0.5, N, 1, 0)

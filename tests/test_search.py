@@ -8,7 +8,7 @@ from conftest import brute_max_free, peak_memory
 
 def test_grid_trivial_and_exhaustive_oracle():
     assert sl.max_skew_corner_free(sl.grid(1)).best_size == 1
-    for n in (2, 3):
+    for n in (2, 3, 4):
         res = sl.max_skew_corner_free(sl.grid(n))
         assert res.optimal
         assert res.best_size == brute_max_free(n, torus=False)
@@ -31,7 +31,7 @@ def test_torus_exhaustive_oracle_n_le_4():
 
 
 def test_grid_bi_exhaustive_oracle_n_le_3():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         res = sl.max_skew_corner_free(sl.grid(n), mode="bi_skew")
         assert res.optimal
         assert res.best_size == brute_max_free(n, torus=False, bi=True)
