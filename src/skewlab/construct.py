@@ -111,23 +111,33 @@ def _embed_many(pts: np.ndarray, m: int) -> np.ndarray:
 
 
 def _series(
-    terms: Sequence[tuple[int, ...]], d: int, shape: tuple[int, ...]
+    terms: Sequence[tuple[int, ...]],
+    d: int,
+    shape: tuple[int, ...],
+    need: Sequence[int] = (),
 ) -> np.ndarray:
     """Coefficients of (sum_{e in terms} z^e)^d truncated to `shape`, by d
-    rounds of exact int64 shifted adds."""
+    rounds of exact int64 shifted adds.  Only the entries at or above
+    `need` on every axis (all entries by default) are exact: round k skips
+    those too far below `need` to reach it in the d - k rounds left."""
     if math.prod(shape) > MAX_SERIES_ENTRIES:
         raise CapabilityError(
             f"series table of shape {shape} exceeds {MAX_SERIES_ENTRIES} entries"
         )
     top = np.max(terms, axis=0)
+    need = np.asarray(need or (0,) * len(shape))
     out = np.zeros(shape, dtype=np.int64)
     out[(0,) * len(shape)] = 1
     for k in range(1, d + 1):
         lim = np.minimum(shape, k * top + 1)  # support after k rounds
+        low = np.maximum(need - (d - k) * top, 0)
         prev, out = out, np.zeros(shape, dtype=np.int64)
         for e in terms:
-            if (e < lim).all():
-                out[tuple(map(slice, e, lim))] += prev[tuple(map(slice, lim - e))]
+            start = np.maximum(e, low)
+            if (start < lim).all():
+                out[tuple(map(slice, start, lim))] += prev[
+                    tuple(map(slice, start - e, lim - e))
+                ]
     return out
 
 
@@ -144,7 +154,9 @@ def _sphere_params(n: int, bi: bool) -> tuple[SphereParams, int]:
     if bi:
         norms = _series([(a * a,) for a in range(1, m + 1)], d, (d * m * m + 1,))
         r = int(np.argmax(norms))
-        table = _series([(a * a, b * b, a * b) for a, b in ab], d, (r + 1,) * 3)[r, r]
+        table = _series(
+            [(a * a, b * b, a * b) for a, b in ab], d, (r + 1,) * 3, need=(r, r, 0)
+        )[r, r]
         t = int(np.argmax(table))
         count = table[t]
     else:

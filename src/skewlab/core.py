@@ -89,9 +89,11 @@ class GridSet:
 
     def __post_init__(self) -> None:
         for name in ("offsets", "ys"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not _sealed(arr):
+                arr = np.array(arr, dtype=np.int64)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         n = self.ambient.size + 1
         if self.offsets.shape != (n,) or self.offsets[-1] != self.ys.size:
             raise CoordinateError(f"expected {n} offsets ending at {self.ys.size}")
@@ -188,9 +190,24 @@ def _build(ambient: Ambient, cols: np.ndarray, ys: np.ndarray) -> GridSet:
     fresh = np.ones(key.size, dtype=bool)
     fresh[1:] = key[1:] != key[:-1]
     cols, ys = np.divmod(key[fresh], size)
-    offsets = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=size), out=offsets[1:])
-    return GridSet(ambient, offsets, ys + ambient.lo)
+    cols += 1  # column x's count lands in offsets[x + 1]
+    offsets = np.bincount(cols, minlength=size + 1).astype(np.int64, copy=False)
+    np.cumsum(offsets, out=offsets)
+    ys += ambient.lo
+    offsets.setflags(write=False)
+    ys.setflags(write=False)
+    return GridSet(ambient, offsets, ys)
+
+
+def _sealed(arr: object) -> bool:
+    """Whether `arr` is a read-only int64 array owning its data, which a
+    GridSet can keep without a copy: no view can write into it."""
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.int64
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    )
 
 
 def make_grid_set(points: Iterable[tuple[int, int]], ambient: Ambient) -> GridSet:

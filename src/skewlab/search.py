@@ -10,6 +10,14 @@ Symmetry breaking uses the translation invariances: per-column vertical
 shifts in skew mode (every nonempty column is normalized to contain its
 base element) and global translations in bi-skew mode (the first nonempty
 column is pinned, and on the torus contains the base element).
+
+Most candidates fail at once: their differences reach back to an occupied
+column, or their column is blocked.  Whether a candidate at column p
+reaches an occupied column depends only on its reflected difference set
+and on the occupied columns shifted by size-1-p, so the search keeps, per
+such mask, the list of surviving pool positions and counts the rejected
+candidates between them by arithmetic.  The lists are found lazily, never
+further than the remaining budget reaches.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .construct import BaseSet
 from .core import Ambient, GridSet, TORUS, make_grid_set, torus
@@ -28,9 +36,12 @@ DEFAULT_BUDGET = 10**8
 SKEW = "skew"
 BI_SKEW = "bi_skew"
 # Up to this size the candidate pools (2^size masks at most) are read from
-# cached tuples, which is faster at every node; larger pools are streamed
-# afresh at every node, since listing them would not fit in memory.
+# cached tuples, which is faster to scan; larger pools are streamed afresh
+# for each survivor list, since listing them would not fit in memory.
 _TUPLE_MAX = 18
+# Survivor lists are kept for the whole search, until they hold this many
+# entries in all; then they are dropped and rebuilt as nodes need them.
+_CACHE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,21 @@ class SearchResult:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+class _Survivors:
+    """The candidates of one pool whose reflected difference set R misses
+    `hit`, found lazily in pool order: `found` holds (position, mask, D, R)
+    for each survivor among the first `scanned` positions of the pool, and
+    `stream` yields the rest."""
+
+    __slots__ = ("found", "scanned", "stream", "hit")
+
+    def __init__(self, stream: Iterator[int], hit: int) -> None:
+        self.found: list[tuple[int, int, int, int]] = []
+        self.scanned = 0
+        self.stream = stream
+        self.hit = hit
 
 
 def _masks(size: int, force_bit0: bool) -> Iterator[int]:
@@ -103,8 +129,8 @@ def max_skew_corner_free(
     When the budget runs out first, the result is the largest free set the
     search placed, whether or not it completed a branch.
 
-    `nodes_explored` counts candidate column subsets tried and is
-    deterministic for a fixed configuration.
+    `nodes_explored` counts candidate column subsets tried, rejected ones
+    included, and is deterministic for a fixed configuration.
     """
     if mode not in (SKEW, BI_SKEW):
         raise ParameterError(f"unknown search mode {mode!r}")
@@ -130,57 +156,99 @@ def max_skew_corner_free(
     placed: list[tuple[int, int]] = []  # (position, mask) of nonempty columns
 
     pool = _mask_tuple if size <= _TUPLE_MAX else _masks
+    # every nonempty mask, or every mask holding bit 0
+    pool_len = {False: (1 << size) - 1, True: 1 << size - 1}
+    # survivor lists by the mask they must miss; -1 keys the first column
+    cache: dict[int, _Survivors] = {}
+    stored = 0
 
-    def candidates(p: int) -> Iterable[int]:
-        if p == 0 and symmetry:
-            return pool(size, norm_first)
-        return chain(pool(size, norm_all), (0,))
+    def extend(sv: _Survivors, stop: int) -> None:
+        """Scan the pool up to position `stop` or the next survivor."""
+        nonlocal stored
+        hit = sv.hit
+        for j, s in zip(range(sv.scanned, stop), sv.stream):
+            dm, rm = _diffs(s, size, on_torus)
+            if not rm & hit:
+                sv.found.append((j, s, dm, rm))
+                sv.scanned = j + 1
+                stored += 1
+                if stored > _CACHE_ENTRIES:
+                    # lists in use on the current path live on unshared
+                    cache.clear()
+                    stored = 0
+                return
+        sv.scanned = stop
 
     def rec(p, occupied, forb_cols, row_occ, forb_rows, total) -> None:
+        """Try the candidates of column p.  The caller has checked the
+        bound: total plus cap times the free columns from p on beats best,
+        where cap is the number of rows not forbidden (bi-skew) or size."""
         nonlocal best, best_masks, reached, reached_masks, nodes
-        if total > reached:
-            reached, reached_masks = total, masks.copy()
         if p == size:
-            if total > best:
-                best = total
-                best_masks = masks.copy()
+            best, best_masks = total, masks.copy()
             return
-        cap = size - forb_rows.bit_count() if bi else size
-        if total + cap * (size - p - (forb_cols >> p).bit_count()) <= best:
-            return
-        blocked = forb_cols >> p & 1
-        back = size - 1 - p
-        for s in candidates(p):
+        first = p == 0 and symmetry
+        flag = norm_first if first else norm_all
+        npool = pool_len[flag]
+        back = size - 1 - p  # also the number of columns after p
+        # The candidate at pool position j is node base + j + 1.  Only the
+        # survivors are visited; a blocked column has none.
+        base = nodes
+        if not forb_cols >> p & 1:
+            # R forbids column p - d through its bit size-1-d
+            hit = occupied << back
+            key = -1 if first else hit
+            sv = cache.get(key)
+            if sv is None:
+                sv = cache[key] = _Survivors(iter(pool(size, flag)), hit)
+            found = sv.found
+            k = 0
+            while True:
+                if k == len(found):
+                    stop = min(npool, budget - base)
+                    if sv.scanned < stop:
+                        extend(sv, stop)
+                    if k == len(found):
+                        break
+                j, s, dm, rm = found[k]
+                k += 1
+                if j >= budget - base:
+                    break
+                nodes = base + j + 1
+                nfc = forb_cols | ((dm << p) | (rm >> back)) & full
+                nro, nfr = row_occ, forb_rows
+                if bi:
+                    # a row y shared with the earlier column pp forbids y +- (p - pp)
+                    nro |= s
+                    for pp, mm in placed:
+                        common = s & mm
+                        if common:
+                            nfr |= _shift(common, p - pp, size, on_torus)
+                            nfr |= _shift(common, pp - p, size, on_torus)
+                    if nfr & nro:
+                        continue
+                t = total + s.bit_count()
+                masks[p] = s
+                if t > reached:
+                    reached, reached_masks = t, masks.copy()
+                cap = size - nfr.bit_count() if bi else size
+                if t + cap * (back - (nfc >> p + 1).bit_count()) > best:
+                    placed.append((p, s))
+                    rec(p + 1, occupied | 1 << p, nfc, nro, nfr, t)
+                    placed.pop()
+                    base = nodes - j - 1
+                masks[p] = 0
+        if budget - base < npool:
+            nodes = budget + 1
+            raise _BudgetExhausted
+        nodes = base + npool
+        if not first:  # the empty column comes last
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
-            if s == 0:
-                masks[p] = 0
+            cap = size - forb_rows.bit_count() if bi else size
+            if total + cap * (back - (forb_cols >> p + 1).bit_count()) > best:
                 rec(p + 1, occupied, forb_cols, row_occ, forb_rows, total)
-                continue
-            if blocked:
-                continue
-            dm, rm = _diffs(s, size, on_torus)
-            cols = ((dm << p) | (rm >> back)) & full
-            if cols & occupied:
-                continue
-            nro, nfr = row_occ, forb_rows
-            if bi:
-                # a row y shared with the earlier column pp forbids y +- (p - pp)
-                nro |= s
-                for pp, mm in placed:
-                    common = s & mm
-                    if common:
-                        nfr |= _shift(common, p - pp, size, on_torus)
-                        nfr |= _shift(common, pp - p, size, on_torus)
-                if nfr & nro:
-                    continue
-            masks[p] = s
-            placed.append((p, s))
-            rec(p + 1, occupied | (1 << p), forb_cols | cols, nro, nfr,
-                total + s.bit_count())
-            placed.pop()
-            masks[p] = 0
 
     exhausted = False
     try:

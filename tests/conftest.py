@@ -149,6 +149,108 @@ def brute_max_free(n: int, torus: bool, bi: bool = False) -> int:
     return int(np.bitwise_count(masks[free]).max())
 
 
+def reference_search(
+    ambient: sl.Ambient, budget: int = 10**12, mode: str = "skew", symmetry: bool = True
+) -> SimpleNamespace:
+    """The branch and bound tried node by node: every candidate mask of a
+    column, rejected or not, is drawn from the pool and counted in turn.
+
+    The library skips rejected candidates by arithmetic; this is the loop
+    it must agree with on the optimum, the node count, the budget cut-off
+    and the witness."""
+    from skewlab.search import _TUPLE_MAX, _diffs, _mask_tuple, _masks, _shift
+
+    size = ambient.size
+    on_torus = ambient.kind == "torus"
+    bi = mode == "bi_skew"
+    norm_all = symmetry and not bi
+    norm_first = symmetry and (not bi or on_torus)
+    full = (1 << size) - 1
+    best = reached = 0
+    best_masks = reached_masks = None
+    nodes = 0
+    masks = [0] * size
+    placed: list[tuple[int, int]] = []
+
+    pool = _mask_tuple if size <= _TUPLE_MAX else _masks
+
+    def candidates(p: int):
+        if p == 0 and symmetry:
+            return pool(size, norm_first)
+        return itertools.chain(pool(size, norm_all), (0,))
+
+    class Exhausted(Exception):
+        pass
+
+    def rec(p, occupied, forb_cols, row_occ, forb_rows, total) -> None:
+        nonlocal best, best_masks, reached, reached_masks, nodes
+        if total > reached:
+            reached, reached_masks = total, masks.copy()
+        if p == size:
+            if total > best:
+                best = total
+                best_masks = masks.copy()
+            return
+        cap = size - forb_rows.bit_count() if bi else size
+        if total + cap * (size - p - (forb_cols >> p).bit_count()) <= best:
+            return
+        blocked = forb_cols >> p & 1
+        back = size - 1 - p
+        for s in candidates(p):
+            nodes += 1
+            if nodes > budget:
+                raise Exhausted
+            if s == 0:
+                masks[p] = 0
+                rec(p + 1, occupied, forb_cols, row_occ, forb_rows, total)
+                continue
+            if blocked:
+                continue
+            dm, rm = _diffs(s, size, on_torus)
+            cols = ((dm << p) | (rm >> back)) & full
+            if cols & occupied:
+                continue
+            nro, nfr = row_occ, forb_rows
+            if bi:
+                # a row y shared with the earlier column pp forbids y +- (p - pp)
+                nro |= s
+                for pp, mm in placed:
+                    common = s & mm
+                    if common:
+                        nfr |= _shift(common, p - pp, size, on_torus)
+                        nfr |= _shift(common, pp - p, size, on_torus)
+                if nfr & nro:
+                    continue
+            masks[p] = s
+            placed.append((p, s))
+            rec(p + 1, occupied | (1 << p), forb_cols | cols, nro, nfr,
+                total + s.bit_count())
+            placed.pop()
+            masks[p] = 0
+
+    exhausted = False
+    try:
+        rec(0, 0, 0, 0, 0, 0)
+    except Exhausted:
+        exhausted = True
+    if reached > best:
+        best, best_masks = reached, reached_masks
+    lo = ambient.lo
+    witness = sorted(
+        (p + lo, b + lo)
+        for p, s in enumerate(best_masks or ())
+        for b in range(size)
+        if s >> b & 1
+    )
+    return SimpleNamespace(
+        best_size=best,
+        optimal=not exhausted,
+        budget_exhausted=exhausted,
+        nodes_explored=nodes,
+        witness=witness,
+    )
+
+
 def reference_sphere_params(n: int, bi: bool) -> tuple[sl.SphereParams, int]:
     """The sphere pair set's (r, t) and size by scanning the inner products
     of the box [m]^d: plain takes the first maximal (r, t) over all pairs,

@@ -238,6 +238,31 @@ def test_loads_memory_stays_near_the_text_size():
     assert peak.bytes < 20 * 2**20
 
 
+def test_from_arrays_in_a_wide_grid_allocates_one_offsets_array():
+    # 2 * 10^5 points in the grid 2^20: the size + 1 offsets (8 MiB) are
+    # built once and kept without a copy
+    n = 2**20
+    rng = np.random.default_rng(37)
+    xs, ys = rng.integers(1, n + 1, (2, 200_000))
+    with peak_memory() as peak:
+        a = sl.GridSet.from_arrays(xs, ys, sl.grid(n))
+    assert peak.bytes <= 17 * 2**20
+    assert len(a) == len(set(zip(xs.tolist(), ys.tolist())))
+    assert a.offsets[0] == 0 and a.offsets.size == n + 1
+    assert not a.offsets.flags.writeable and not a.ys.flags.writeable
+
+
+def test_grid_set_copies_arrays_a_caller_can_still_write():
+    offsets = np.array([0, 1, 2], dtype=np.int64)
+    ys = np.array([1, 2], dtype=np.int64)
+    a = sl.GridSet(sl.grid(2), offsets, ys)
+    ys[0] = 2
+    assert list(a.points()) == [(1, 1), (2, 2)]
+    view = np.array([0, 9, 1, 9, 2], dtype=np.int64)[::2]
+    view.setflags(write=False)
+    assert sl.GridSet(sl.grid(2), view, a.ys).offsets is not view
+
+
 def test_grid_set_immutable_value_semantics():
     a = sl.make_grid_set([(1, 1), (2, 2)], sl.grid(2))
     b = sl.make_grid_set([(2, 2), (1, 1), (1, 1)], sl.grid(2))

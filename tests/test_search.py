@@ -3,7 +3,8 @@ import time
 import pytest
 
 import skewlab as sl
-from conftest import brute_max_free, peak_memory
+from skewlab import search
+from conftest import brute_max_free, peak_memory, reference_search
 
 
 def test_grid_trivial_and_exhaustive_oracle():
@@ -119,6 +120,78 @@ def test_budgeted_search_runs_up_to_the_bitmask_limit(ambient, mode):
     assert len(res.witness) == res.best_size
     free = sl.is_bi_skew_corner_free if mode == "bi_skew" else sl.is_skew_corner_free
     assert free(res.witness)
+
+
+def _summary(res):
+    return (res.best_size, res.optimal, res.budget_exhausted, res.nodes_explored,
+            sorted(res.witness.points()))
+
+
+def _reference_summary(ref):
+    return (ref.best_size, ref.optimal, ref.budget_exhausted, ref.nodes_explored,
+            ref.witness)
+
+
+@pytest.mark.parametrize("mode", ["skew", "bi_skew"])
+@pytest.mark.parametrize("kind", ["grid", "torus"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_matches_the_node_by_node_reference(n, kind, mode):
+    ambient = sl.Ambient(kind, n)
+    for symmetry in (True, False) if n <= 5 else (True,):
+        res = sl.max_skew_corner_free(ambient, mode=mode, symmetry=symmetry)
+        ref = reference_search(ambient, mode=mode, symmetry=symmetry)
+        assert _summary(res) == _reference_summary(ref)
+
+
+# Small budgets run out inside skipped stretches of rejected candidates and
+# inside blocked columns, not only at a visited candidate.
+@pytest.mark.parametrize(
+    "ambient, mode",
+    [(sl.torus(5), "bi_skew"), (sl.grid(6), "skew"), (sl.grid(6), "bi_skew")],
+    ids=["torus5-bi", "grid6", "grid6-bi"],
+)
+def test_every_small_budget_stops_where_the_reference_stops(ambient, mode):
+    for budget in range(1, 401):
+        res = sl.max_skew_corner_free(ambient, budget=budget, mode=mode)
+        ref = reference_search(ambient, budget=budget, mode=mode)
+        assert _summary(res) == _reference_summary(ref), budget
+
+
+def test_dropping_the_survivor_lists_midway_changes_nothing(monkeypatch):
+    monkeypatch.setattr(search, "_CACHE_ENTRIES", 3)
+    for ambient, mode in [(sl.torus(6), "bi_skew"), (sl.grid(6), "skew")]:
+        for budget in (333, 10**9):
+            res = sl.max_skew_corner_free(ambient, budget=budget, mode=mode)
+            ref = reference_search(ambient, budget=budget, mode=mode)
+            assert _summary(res) == _reference_summary(ref)
+
+
+@pytest.mark.parametrize(
+    "ambient, mode",
+    [(sl.grid(18), "skew"), (sl.torus(16), "bi_skew")],
+    ids=["grid18", "torus16-bi"],
+)
+def test_budgeted_wide_search_scans_only_what_the_budget_reaches(ambient, mode):
+    # Survivor lists grow only as far as the budget reaches; scanning a
+    # whole pool of 2^17 masks per column state up front took seconds.
+    t0 = time.perf_counter()
+    res = sl.max_skew_corner_free(ambient, budget=10**6, mode=mode)
+    elapsed = time.perf_counter() - t0
+    assert res.budget_exhausted and res.nodes_explored == 1_000_001
+    assert elapsed < 2.0
+    with peak_memory() as peak:
+        again = sl.max_skew_corner_free(ambient, budget=10**6, mode=mode)
+    assert _summary(again) == _summary(res)
+    assert peak.bytes < 16 << 20
+
+
+def test_searches_without_symmetry_breaking_confirm_grid7_and_bi_torus7():
+    grid = sl.max_skew_corner_free(sl.grid(7), symmetry=False)
+    assert grid.optimal and grid.best_size == 16
+    assert sl.is_skew_corner_free(grid.witness)
+    bi = sl.max_skew_corner_free(sl.torus(7), mode="bi_skew", symmetry=False)
+    assert bi.optimal and bi.best_size == 7
+    assert sl.is_bi_skew_corner_free(bi.witness)
 
 
 def test_budget_below_one_is_refused():
