@@ -6,7 +6,7 @@ package iterates over vertical slices: a GridSet keeps compressed sparse
 rows, one offsets array with an entry per column boundary and one array of
 y-values sorted within each column.  This module is the only one that
 knows that layout; the others go through `column`, `column_sizes`,
-`nonempty_columns`, `points` and `indicator_matrix`.
+`nonempty_columns`, `points`, `coordinates` and `indicator_matrix`.
 """
 
 from __future__ import annotations
@@ -134,13 +134,15 @@ class GridSet:
         for i in np.flatnonzero(np.diff(self.offsets)).tolist():
             yield i, self._slice(i)
 
-    def _column_index(self) -> np.ndarray:
-        """Column index x - lo of every point, aligned with `ys`."""
-        return np.repeat(np.arange(self.ambient.size), self.column_sizes())
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 coordinate arrays (xs, ys) in `points()` order; ys is read-only."""
+        lo = self.ambient.lo
+        xs = np.repeat(np.arange(lo, lo + self.ambient.size), self.column_sizes())
+        return xs, self.ys
 
     def points(self) -> Iterator[tuple[int, int]]:
-        xs = self._column_index() + self.ambient.lo
-        return zip(xs.tolist(), self.ys.tolist())
+        xs, ys = self.coordinates()
+        return zip(xs.tolist(), ys.tolist())
 
     def column_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -268,8 +270,8 @@ def translate(a: GridSet, h: int, v: TranslationMap) -> GridSet:
 
 def transpose(a: GridSet) -> GridSet:
     """Reflect (x, y) -> (y, x).  An involution; preserves cardinality."""
-    lo = a.ambient.lo
-    return _build(a.ambient, a.ys - lo, a._column_index() + lo)
+    xs, ys = a.coordinates()
+    return _build(a.ambient, ys - a.ambient.lo, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ class AnalysisConfig:
 
     C: float = 64.0
     c_prime: float = 0.05
-    tolerance: float = DEFAULT_TOL
-    zeta_terms: int = 10**6
 
     def __post_init__(self) -> None:
         if not 0 < self.c_prime < 0.25:
@@ -133,6 +131,12 @@ class Progression:
 
     def shifted(self, t: int) -> "Progression":
         return Progression(self.start + t, self.difference, self.length)
+
+    def index(self, v: np.ndarray) -> np.ndarray:
+        """1-based position of each value of `v` in the progression, 0 for
+        values outside it."""
+        q, r = np.divmod(np.asarray(v) - self.start, self.difference)
+        return np.where((r == 0) & (q >= 0) & (q < self.length), q + 1, 0)
 
 
 def dft(f: Sequence[float] | np.ndarray) -> FourierTable:
@@ -383,7 +387,6 @@ def technical_select(
     p: float,
     q: float,
     p_prime: float,
-    zeta_terms: int = 10**6,
 ) -> int:
     """Locate a short heavy prefix of a nonincreasing nonnegative sequence.
 
@@ -408,7 +411,7 @@ def technical_select(
         raise ParameterError("sum of b_j^p falls short of beta^p")
     if float(arr.sum()) > beta**q * (1 + slop):
         raise ParameterError("sum of b_j exceeds beta^q")
-    c = (2 * zeta_value(p / p_prime, zeta_terms)) ** (-1 / p)
+    c = (2 * zeta_value(p / p_prime)) ** (-1 / p)
     bound = math.ceil(2 ** (1 / (p - 1)) * beta ** (p * (q - 1) / (p - 1)))
     kmax = min(bound, arr.size)
     prefix = 0.0

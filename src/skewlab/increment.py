@@ -21,9 +21,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .core import GRID, GridSet, embed_torus, grid, make_grid_set
+from .core import GRID, GridSet, embed_torus, grid
 from .errors import FalsificationError, ParameterError
 from .fourier import (
+    DEFAULT_TOL,
     AnalysisConfig,
     CharacterSet,
     Progression,
@@ -192,19 +193,18 @@ def pigeonhole_square(
     n = b_set.ambient.size
     if p.span > n:
         raise ParameterError(f"progression span {p.span} exceeds n={n}")
-    members = set(p.elements())
     if p.start < 1 or p.last > n:
         raise ParameterError("progression leaves [n]")
-    along = []  # coordinate inside P, coordinate to be matched against P'
-    for x, y in b_set.points():
-        u, v = (x, y) if axis == "columns" else (y, x)
-        if u not in members:
-            raise ParameterError(f"point ({x}, {y}) outside the progression band")
-        along.append(v)
-    base_density = len(along) / (p.length * n)
+    xs, ys = b_set.coordinates()
+    u, along = (xs, ys) if axis == "columns" else (ys, xs)  # in P, against P'
+    stray = np.flatnonzero(p.index(u) == 0)
+    if stray.size:
+        j = stray[0]
+        raise ParameterError(f"point ({xs[j]}, {ys[j]}) outside the progression band")
+    base_density = along.size / (p.length * n)
     # counts[s - 1] counts `along` on P moved to start s, for the starts that
     # keep it inside [n]; those never reach past index n, so nothing wraps
-    w = np.bincount(np.asarray(along, dtype=np.int64), minlength=n + 1)
+    w = np.bincount(along, minlength=n + 1)
     counts = _shift_scores(w, p.shifted(-p.start))[1 : n - (p.last - p.start) + 1]
     start = int(counts.argmax()) + 1
     count = int(counts[start - 1])
@@ -242,7 +242,7 @@ def _vertical_linfty(
     alpha = len(a) / n**2
     if not 1 <= gamma <= N - 1:
         raise ParameterError(f"gamma={gamma} is not a nontrivial frequency")
-    if spectrum[gamma] < 4 * config.c_prime * alpha - config.tolerance:
+    if spectrum[gamma] < 4 * config.c_prime * alpha - DEFAULT_TOL:
         raise ParameterError(
             f"coefficient {spectrum[gamma]:.4g} at gamma={gamma} is below "
             f"4 c' alpha = {4 * config.c_prime * alpha:.4g}"
@@ -250,7 +250,7 @@ def _vertical_linfty(
     if alpha < (4 / config.c_prime) * math.sqrt(math.pi / n):
         return BlockIncrement(small_density=True)
     res = _best_block(a, gamma, config)
-    if res.density < (1 + 3 * config.c_prime) * alpha - config.tolerance:
+    if res.density < (1 + 3 * config.c_prime) * alpha - DEFAULT_TOL:
         raise FalsificationError(
             f"block density {res.density:.6g} below the guaranteed "
             f"(1+3c')alpha = {(1 + 3 * config.c_prime) * alpha:.6g}"
@@ -284,8 +284,10 @@ def _column_extract(a: GridSet, p: Progression) -> tuple[int, GridSet, int]:
     t = embed_torus(a)
     N = t.ambient.size
     shift = int(_shift_scores(t.column_sizes(), p).argmax())
-    pts = [(x, y) for x in p.elements() for y in t.column((x + shift) % N)]
-    return shift, make_grid_set(pts, a.ambient), len(pts)
+    xs, ys = a.coordinates()
+    xs = (xs - shift) % N
+    keep = p.index(xs) > 0
+    return shift, GridSet.from_arrays(xs[keep], ys[keep], a.ambient), int(keep.sum())
 
 
 def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, int]:
@@ -296,15 +298,14 @@ def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, 
     N = t.ambient.size
     cols = np.flatnonzero(t.column_sizes())
     rows = t.indicator_matrix(np.int64, cols=cols)
-    best = _shift_scores(rows, p).argmax(axis=1)
     shifts = np.zeros(N, dtype=np.int64)
-    shifts[cols] = best
-    elems = np.asarray(p.elements(), dtype=np.int64)
-    hit = np.take_along_axis(rows, (elems + best[:, None]) % N, axis=1)
-    r, j = np.nonzero(hit)
+    shifts[cols] = _shift_scores(rows, p).argmax(axis=1)
     # torus column x holds grid column x: the embedding keeps coordinates
-    extracted = GridSet.from_arrays(cols[r], elems[j], a.ambient)
-    return tuple(shifts.tolist()), extracted, r.size
+    xs, ys = a.coordinates()
+    ys = (ys - shifts[xs]) % N
+    keep = p.index(ys) > 0
+    extracted = GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
+    return tuple(shifts.tolist()), extracted, int(keep.sum())
 
 
 def vertical_l2_increment(
@@ -369,9 +370,7 @@ def _l2_route(
         return None
     weights = spectrum**power
     b = np.sort(weights[1:])[::-1]
-    m = technical_select(
-        b, (config.C * alpha) ** power, exponent / power, *select, config.zeta_terms
-    )
+    m = technical_select(b, (config.C * alpha) ** power, exponent / power, *select)
     gamma_set = CharacterSet(2 * n, _top_frequencies(weights, m))
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
@@ -407,15 +406,10 @@ def _square_outcome(
     translate x p (axis "rows"), renamed into [p.length]^2, checked free and
     packaged as a subsquare outcome."""
     cols, rows = (p, translate) if axis == "columns" else (translate, p)
-    xs, ys = cols.elements(), rows.elements()
-    renamed = make_grid_set(
-        [
-            (xs.index(x) + 1, ys.index(y) + 1)
-            for x, y in a.points()
-            if x in xs and y in ys
-        ],
-        grid(p.length),
-    )
+    xs, ys = a.coordinates()
+    i, j = cols.index(xs), rows.index(ys)
+    keep = (i > 0) & (j > 0)
+    renamed = GridSet.from_arrays(i[keep], j[keep], grid(p.length))
     w = find_skew_corner(renamed)
     if w is not None:
         raise FalsificationError(
@@ -438,7 +432,7 @@ def _square_outcome(
 
 
 def _subsquare_outcome(
-    band: GridSet,
+    a: GridSet,
     p: Progression,
     axis: str,
     branch: Optional[str],
@@ -446,7 +440,11 @@ def _subsquare_outcome(
     alpha: float,
     note: str = "",
 ) -> IncrementOutcome:
-    """Pigeonhole the band onto its densest square and package that."""
+    """Cut the band of `a` on p (its columns for axis "columns", its rows
+    for "rows"), pigeonhole it onto its densest square and package that."""
+    xs, ys = a.coordinates()
+    keep = p.index(xs if axis == "columns" else ys) > 0
+    band = GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
     translate = pigeonhole_square(band, p, axis=axis).translate
     return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
 
@@ -457,12 +455,6 @@ def _small_density(alpha: float, n: int, note: str) -> IncrementOutcome:
     )
 
 
-def _band_of_progression(a: GridSet, p: Progression) -> GridSet:
-    """A restricted to the columns of p."""
-    pts = [(x, y) for x in p.elements() for y in a.column(x)]
-    return make_grid_set(pts, a.ambient)
-
-
 def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
     """Best difference-1 subsquares at a sweep of side lengths.
 
@@ -470,28 +462,34 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
     has an outcome with density >= alpha available.
     """
     n = a.ambient.size
-    mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-    mat[1:, 1:] = a.indicator_matrix(dtype=np.int64)
-    pref = mat.cumsum(axis=0).cumsum(axis=1)
-    if n <= 128:
-        lengths = range(2, n + 1)
-    else:
-        lengths, L = [], n
-        while L >= 2:
-            lengths.append(L)
-            L //= 2
+    xs, ys = a.coordinates()
+    cols = np.flatnonzero(a.column_sizes()) + 1
+    # pref[r, y] counts the points up to row y in the first r nonempty
+    # columns; int32 is safe, as counts are at most n^2 < 2^31 for n <= 46340
+    pref = np.zeros((cols.size + 1, n + 1), dtype=np.int32)
+    pref[np.searchsorted(cols, xs) + 1, ys] = 1
+    np.cumsum(pref, axis=0, out=pref)
+    np.cumsum(pref, axis=1, out=pref)
+    halved = [n >> k for k in range(n.bit_length() - 1)]  # n, n // 2, ..., 2
+    lengths = range(2, n + 1) if n <= 128 else halved
     out = []
     for L in lengths:
-        win = (
-            pref[L:, L:] - pref[:-L, L:] - pref[L:, :-L] + pref[:-L, :-L]
-        )
-        sx, sy = np.unravel_index(int(win.argmax()), win.shape)
-        cols = Progression(start=int(sx) + 1, difference=1, length=L)
-        rows = Progression(start=int(sy) + 1, difference=1, length=L)
+        # the window at column start sx covers the nonempty columns [lo, hi).
+        # Starts covering the same ones tie; keeping the first of each makes
+        # the row-major first maximum the smallest column start, then the
+        # smallest row start, over all windows
+        sx = np.arange(1, n - L + 2)
+        lohi = np.searchsorted(cols, [sx, sx + L])
+        first = np.diff(lohi, prepend=-1).any(axis=0)
+        sx, (lo, hi) = sx[first], lohi[:, first]
+        band = pref[hi]
+        band -= pref[lo]
+        win = band[:, L:] - band[:, :-L]
+        r, sy = divmod(int(win.argmax()), win.shape[1])
         out.append(
             _square_outcome(
-                a, cols, rows, "columns", None, None, alpha,
-                note="difference-1 subsquare scan",
+                a, Progression(int(sx[r]), 1, L), Progression(sy + 1, 1, L),
+                "columns", None, None, alpha, note="difference-1 subsquare scan",
             )
         )
     return out
@@ -532,7 +530,7 @@ def _guaranteed_step(
         return _small_density(alpha, n, "alpha <= 8/n")
     # the dichotomy is a falsification check that must pass; its spectra
     # then select the route
-    _, spectrum, cross = _dichotomy(a, config.tolerance)
+    _, spectrum, cross = _dichotomy(a, DEFAULT_TOL)
     c_p = config.c_prime
     # the L2 routes in order of preference, each with the exponent k of its
     # band bound 3 m^k alpha; a route returns None when its mass is too low
@@ -546,7 +544,7 @@ def _guaranteed_step(
         if res.small_density:
             return _small_density(alpha, n, "alpha n below the progression guard")
         m = len(res.gamma_set)
-        if res.density < 3 * m ** float(k) * alpha - config.tolerance:
+        if res.density < 3 * m ** float(k) * alpha - DEFAULT_TOL:
             raise FalsificationError(
                 f"{label}-band density {res.density:.6g} below 3 m^({k}) alpha; "
                 "configured C does not support the guaranteed bound"
@@ -554,7 +552,7 @@ def _guaranteed_step(
         out = _subsquare_outcome(
             res.extracted, res.progression, axis, branch, res.gamma_set, alpha
         )
-        return _above_floor(out, (1 + c_p) * m ** (1 / 6) * alpha, config)
+        return _above_floor(out, (1 + c_p) * m ** (1 / 6) * alpha)
     if float(spectrum[1:].max()) < 4 * c_p * alpha:
         raise FalsificationError(
             f"no spectral route opened at C={config.C}, c_prime={c_p}; "
@@ -563,15 +561,12 @@ def _guaranteed_step(
     res = _vertical_linfty(a, _top_frequencies(spectrum, 1)[0], spectrum, config)
     if res.small_density:
         return _small_density(alpha, n, "alpha below the block guard")
-    band = _band_of_progression(a, res.progression)
-    out = _subsquare_outcome(band, res.progression, "columns", "ii", None, alpha)
-    return _above_floor(out, (1 + c_p) * alpha, config)
+    out = _subsquare_outcome(a, res.progression, "columns", "ii", None, alpha)
+    return _above_floor(out, (1 + c_p) * alpha)
 
 
-def _above_floor(
-    out: IncrementOutcome, floor: float, config: AnalysisConfig
-) -> IncrementOutcome:
-    if out.density < floor - config.tolerance:
+def _above_floor(out: IncrementOutcome, floor: float) -> IncrementOutcome:
+    if out.density < floor - DEFAULT_TOL:
         raise FalsificationError(
             f"subsquare density {out.density:.6g} below the guaranteed floor "
             f"{floor:.6g}"
@@ -589,17 +584,15 @@ def _best_effort_step(
 
     # dominant-coefficient blocks
     if len(spectrum) > 1 and spectrum[1:].max() > 0:
-        gamma = _top_frequencies(spectrum, 1)[0]
-        blk = _best_block(a, gamma, config)
-        if blk.progression is not None:
-            band = _band_of_progression(a, blk.progression)
-            if len(band):
-                candidates.append(
-                    _subsquare_outcome(
-                        band, blk.progression, "columns", "ii", None, alpha,
-                        note="best-effort block route",
-                    )
+        blk = _best_block(a, _top_frequencies(spectrum, 1)[0], config).progression
+        # at small n the Dirichlet bound Q > n can make a block span past [n]
+        if blk.span <= n:
+            candidates.append(
+                _subsquare_outcome(
+                    a, blk, "columns", "ii", None, alpha,
+                    note="best-effort block route",
                 )
+            )
 
     # L2 routes at a small sweep of character counts
     for m in (1, 2, 3):
@@ -618,12 +611,9 @@ def _best_effort_step(
             prog = _dirichlet_progression(gamma_set, alpha, n)
             if prog.span > n:
                 continue
-            _, extracted, count = extract(a, prog)
-            if count == 0:
-                continue
             candidates.append(
                 _subsquare_outcome(
-                    extracted, prog, axis, branch, gamma_set, alpha,
+                    extract(a, prog)[1], prog, axis, branch, gamma_set, alpha,
                     note="best-effort route with relaxed guards",
                 )
             )

@@ -20,10 +20,10 @@ from .errors import CapabilityError, ParameterError, PrecisionError
 # the float FFT path is exact as long as the residue stays tiny.
 FFT_RESIDUE_TOL = 1e-3
 
-# One side cap for every FFT and spectral path: the count and the cross
-# spectrum hold no N x N array, but `lambda_form`, `TwoDFunction` and the
-# increment's subsquare scan still do.  Past it (embedded grids double n)
-# the naive counter is the right tool.
+# One side cap for every FFT and spectral path: the count, the cross
+# spectrum and the increment's subsquare scan hold no N x N array, but
+# `lambda_form` and `TwoDFunction` still do.  Past it (embedded grids double n) the naive
+# counter is the right tool.
 MAX_FFT_SIDE = 4096
 
 # Indicator rows are transformed in blocks of this many entries (4 MiB).

@@ -378,3 +378,26 @@ def row_shift_definition(a: sl.GridSet, p) -> tuple[list[int], set, list[list[in
         if (e + shifts[x]) % N in cols[x]
     }
     return shifts, want, hits
+
+
+def dense_square_scan(a: sl.GridSet) -> list[tuple[int, int, int]]:
+    """The subsquare scan by a dense (n+1)^2 prefix-sum table: for each
+    scanned side L, (L, sx, sy) with the 1-based starts of the first window,
+    in row-major order, holding the most points."""
+    n = a.ambient.size
+    mat = np.zeros((n + 1, n + 1), dtype=np.int64)
+    mat[1:, 1:] = a.indicator_matrix(dtype=np.int64)
+    pref = mat.cumsum(axis=0).cumsum(axis=1)
+    if n <= 128:
+        lengths = range(2, n + 1)
+    else:
+        lengths, L = [], n
+        while L >= 2:
+            lengths.append(L)
+            L //= 2
+    out = []
+    for L in lengths:
+        win = pref[L:, L:] - pref[:-L, L:] - pref[L:, :-L] + pref[:-L, :-L]
+        sx, sy = np.unravel_index(int(win.argmax()), win.shape)
+        out.append((L, int(sx) + 1, int(sy) + 1))
+    return out

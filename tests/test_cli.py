@@ -242,6 +242,16 @@ def test_increment_iterations(capsys, tmp_path):
     assert all(s["density"] >= steps[0]["alpha"] for s in steps)
 
 
+def test_increment_small_grid_exits_zero(capsys, tmp_path):
+    # a best-effort block of difference 8 > n = 4 was once refused with exit 2
+    path = tmp_path / "f.txt"
+    pts = [(1, 2), (2, 1), (2, 4), (3, 3), (4, 3)]
+    sl.save_skewset(sl.make_grid_set(pts, sl.grid(4)), path)
+    code, out, _ = run_cli(capsys, "increment", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["density"] >= 5 / 16
+
+
 def test_increment_refuses_fewer_than_one_iteration(capsys, tmp_path):
     path = tmp_path / "g.txt"
     sl.save_skewset(sl.make_grid_set([(1, 1), (2, 3)], sl.grid(4)), path)

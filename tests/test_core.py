@@ -86,6 +86,17 @@ def test_translate_tuple_count_against_quadruple_loop():
     assert brute_skew_tuples(a) == brute_skew_tuples(moved)
 
 
+def test_coordinates_follow_points():
+    for a in (
+        sl.make_grid_set([(3, 1), (1, 2), (3, 3)], sl.grid(4)),
+        sl.make_grid_set([(0, 5), (4, 0), (0, 0)], sl.torus(6)),
+        sl.make_grid_set([], sl.grid(2)),
+    ):
+        xs, ys = a.coordinates()
+        assert xs.dtype == ys.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == list(a.points())
+
+
 def test_transpose_examples():
     a = sl.make_grid_set([(1, 2)], sl.grid(3))
     assert list(sl.transpose(a).points()) == [(2, 1)]

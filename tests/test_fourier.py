@@ -399,3 +399,15 @@ def test_progression_elements_consistent(start, length):
     assert len(els) == length
     assert els[0] == start and els[-1] == p.last
     assert p.span == length * 3
+
+
+def test_progression_index_matches_elements():
+    # values below, inside and beyond each progression, on and off its residue
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        d = int(rng.integers(1, 8))
+        p = sl.Progression(int(rng.integers(-20, 21)), d, int(rng.integers(1, 12)))
+        v = np.arange(p.start - 3 * d - 2, p.last + 3 * d + 3)
+        els = list(p.elements())
+        want = [els.index(x) + 1 if x in els else 0 for x in v.tolist()]
+        assert p.index(v).tolist() == want

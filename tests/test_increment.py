@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import skewlab as sl
-from conftest import greedy_free_set, row_shift_definition
+from conftest import dense_square_scan, greedy_free_set, peak_memory, row_shift_definition
 from skewlab.fourier import marginal_spectrum
-from skewlab.increment import _column_extract, _row_extract
+from skewlab.increment import _column_extract, _row_extract, _scan_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,70 @@ def test_increment_best_effort_on_product_at_512():
     assert out.density >= a.density
     assert out.extracted_count == len(out.extracted)
     assert elapsed < 10
+
+
+def test_increment_best_effort_at_the_cap_memory_and_time():
+    # the 9^4 product in [2048]^2, at the side cap; a dense (n+1)^2 prefix-sum
+    # table in the subsquare scan once made this step's traced peak 128 MiB
+    a = sl.product_construction(sl.find_base_set(6), 2048)
+    t0 = time.perf_counter()
+    out = sl.increment_step(a)
+    elapsed = time.perf_counter() - t0
+    with peak_memory() as peak:
+        assert sl.increment_step(a) == out
+    assert out.variant == "subsquare" and out.density >= a.density
+    assert elapsed < 5
+    assert peak.bytes <= 32 * 2**20
+    # one point in every column: the scan's prefix sums cover all n columns
+    n = 2048
+    ys = np.random.default_rng(14).integers(1, n + 1, n)
+    b = sl.GridSet.from_arrays(np.arange(1, n + 1), ys, sl.grid(n))
+    with peak_memory() as peak:
+        _scan_candidates(b, b.density)
+    assert peak.bytes <= 80 * 2**20
+
+
+def test_scan_matches_dense_reference():
+    # the scan over the nonempty columns against the dense prefix-sum search,
+    # on free sets with empty columns: greedy sets with some columns dropped
+    # (n <= 128, every side L) and one point per kept column (n > 128)
+    rng = np.random.default_rng(15)
+    ties = 0
+    for n in [*rng.integers(1, 129, 16).tolist(), 129, 300, 777]:
+        if n <= 128:
+            xs, ys = greedy_free_set(n, rng).coordinates()
+        else:
+            xs, ys = np.arange(1, n + 1), rng.integers(1, n + 1, n)
+        keep = rng.random(n + 1)[xs] < rng.choice((0.2, 0.6))
+        a = sl.GridSet.from_arrays(xs[keep], ys[keep], sl.grid(n))
+        if len(a) == 0:
+            continue
+        got = [
+            (c.n_prime, c.progression.start, c.translate.start)
+            for c in _scan_candidates(a, a.density)
+        ]
+        want = dense_square_scan(a)
+        assert got == want
+        # a window starting at an empty column ties with the window at the
+        # next nonempty column, if that one fits, and must win the tie
+        sizes = a.column_sizes()
+        for L, sx, _ in want:
+            if sizes[sx - 1] == 0:
+                ties += sx + int(np.argmax(sizes[sx - 1 :] > 0)) <= n - L + 1
+    assert ties
+
+
+def test_best_effort_skips_blocks_wider_than_the_grid():
+    # at n = 4 the Dirichlet bound Q = 8 gives the dominant-coefficient
+    # route a block of difference 8, which fits in no square of [4]^2
+    a = sl.make_grid_set([(1, 2), (2, 1), (2, 4), (3, 3), (4, 3)], sl.grid(4))
+    out = sl.increment_step(a)
+    assert out.variant == "subsquare" and out.density >= a.density
+    rng = np.random.default_rng(11)
+    for n in range(1, 40):
+        for _ in range(5):
+            a = greedy_free_set(n, rng)
+            assert sl.increment_step(a).density >= a.density - 1e-12
 
 
 def test_increment_single_point_input():
