@@ -413,7 +413,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except FalsificationError as exc:
         print(f"falsification event: {exc}", file=sys.stderr)
         return 3
-    except (SkewLabError, FileNotFoundError) as exc:
+    except (SkewLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

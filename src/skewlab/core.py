@@ -276,8 +276,8 @@ def transpose(a: GridSet) -> GridSet:
 
 # ---------------------------------------------------------------------------
 # `skewset v1` file format: line 1 "skewset 1", line 2 "ambient grid <n>" or
-# "ambient torus <N>", then one "x y" pair per line.  Text, UTF-8, written
-# with LF line ends.
+# "ambient torus <N>", then one "x y" pair per line.  Read as UTF-8,
+# written as ASCII with LF line ends.
 # ---------------------------------------------------------------------------
 
 _SPACE = " \t"
@@ -286,14 +286,47 @@ _POINT_LINE = re.compile(r"([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)")
 _BODY_BYTES = b"0123456789+-\n" + _SPACE.encode()
 
 
+# points per block of the writer: about 3 MiB of scratch at six-digit coordinates
+_WRITE_CHUNK = 1 << 16
+
+
+def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
+    """Write the nonnegative integers v in decimal into the rows of the
+    uint8 array `out`, right-aligned; left of each leading digit stays 0."""
+    out[:, -1] = v % 10 + 48  # the units digit, "0" for v = 0
+    for j in range(out.shape[1] - 2, -1, -1):
+        v = v // 10
+        out[:, j] = (v % 10 + 48) * (v > 0)
+
+
+def _skewset_chunks(a: GridSet) -> Iterator[bytes]:
+    """The `skewset 1` text of `a` as ASCII bytes: the header, then the
+    "x y" lines of at most _WRITE_CHUNK points at a time.  Each block is
+    one uint8 array of digit, space and newline columns whose zero
+    padding is dropped, so memory beyond the set stays O(chunk)."""
+    amb = a.ambient
+    yield f"skewset 1\nambient {amb.kind} {amb.size}\n".encode()
+    for start in range(0, len(a), _WRITE_CHUNK):
+        at = np.arange(start, min(start + _WRITE_CHUNK, len(a)))
+        xs = np.searchsorted(a.offsets, at, side="right") - 1 + amb.lo
+        ys = a.ys[start : start + at.size]
+        wx, wy = len(str(xs[-1])), len(str(ys.max()))
+        lines = np.zeros((at.size, wx + wy + 2), dtype=np.uint8)
+        _put_digits(lines[:, :wx], xs)
+        lines[:, wx] = ord(" ")
+        _put_digits(lines[:, wx + 1 : -1], ys)
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0].tobytes()
+
+
 def dumps_skewset(a: GridSet) -> str:
-    lines = ["skewset 1", f"ambient {a.ambient.kind} {a.ambient.size}"]
-    lines.extend(f"{x} {y}" for x, y in a.points())
-    return "\n".join(lines) + "\n"
+    return b"".join(_skewset_chunks(a)).decode("ascii")
 
 
 def save_skewset(a: GridSet, path: str | Path) -> None:
-    Path(path).write_text(dumps_skewset(a), encoding="utf-8", newline="\n")
+    """Write `a` as a `skewset 1` file, streamed in O(chunk) memory."""
+    with open(path, "wb") as fh:
+        fh.writelines(_skewset_chunks(a))
 
 
 def loads_skewset(text: str) -> GridSet:
@@ -369,4 +402,6 @@ def _first_error(body: str, amb: Ambient) -> NoReturn:
 
 
 def load_skewset(path: str | Path) -> GridSet:
-    return loads_skewset(Path(path).read_text(encoding="utf-8"))
+    """Read a `skewset 1` file; a byte that is not UTF-8 becomes U+FFFD,
+    which `loads_skewset` rejects like any other non-ASCII text."""
+    return loads_skewset(Path(path).read_text(encoding="utf-8", errors="replace"))

@@ -287,10 +287,13 @@ def cross_spectrum(a: GridSet) -> np.ndarray:
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
     sizes = t.column_sizes()
-    cross = np.zeros(sizes.size)
+    N = sizes.size
+    cross = np.zeros(N)
+    half = cross[: N // 2 + 1]
     for cols, power in column_power(t):
-        cross += (power / sizes[cols, None]).sum(axis=0)
-    return cross / sizes.size**2
+        half += (power / sizes[cols, None]).sum(axis=0)
+    cross[N // 2 + 1 :] = half[1 : N - N // 2][::-1]  # P(a) = P(N - a)
+    return cross / N**2
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,8 @@ def _shift_scores(w: np.ndarray, p: Progression) -> np.ndarray:
     """scores[..., s] = sum over e in P of w[..., (e + s) mod len]: the
     weight the shifted progression P + s collects, for every shift s along
     the last axis.  Exact integer sums of len(P) shifted copies of w, in
-    O(len(P) * w.size) time and one array of w's shape."""
+    O(len(P) * w.size) time and one array of w's shape and dtype, which
+    must hold every score."""
     size = w.shape[-1]
     scores = np.zeros_like(w)
     for e in p.elements():
@@ -297,7 +298,9 @@ def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, 
     t = embed_torus(a)
     N = t.ambient.size
     cols = np.flatnonzero(t.column_sizes())
-    rows = t.indicator_matrix(np.int64, cols=cols)
+    # a score sums len(P) entries of 0 or 1, so the narrowest unsigned type
+    # holding len(P) keeps the indicator and its scores exact
+    rows = t.indicator_matrix(np.min_scalar_type(p.length), cols=cols)
     shifts = np.zeros(N, dtype=np.int64)
     shifts[cols] = _shift_scores(rows, p).argmax(axis=1)
     # torus column x holds grid column x: the embedding keeps coordinates

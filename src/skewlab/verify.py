@@ -149,10 +149,12 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
 
 
 def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(cols, |fft(rows, axis=1)|^2) for consecutive blocks of the nonempty
-    torus columns cols, in increasing order, where rows are their indicator
-    rows; grid sets are embedded into the torus of side 2n first.  Empty
-    columns have a zero spectrum and are never transformed."""
+    """(cols, |rfft(rows, axis=1)|^2) for consecutive blocks of the
+    nonempty torus columns cols, in increasing order, where rows are their
+    indicator rows; grid sets are embedded into the torus of side 2n first.
+    Rows are real, so each power spectrum holds the N // 2 + 1 frequencies
+    0..N // 2 and P(a) = P(N - a) gives the rest.  Empty columns have a
+    zero spectrum and are never transformed."""
     if a.ambient.kind == GRID:
         a = embed_torus(a)
     check_fft_side(a.ambient.size)
@@ -160,7 +162,7 @@ def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     step = max(1, _BLOCK_ENTRIES // a.ambient.size)
     for k in range(0, nonempty.size, step):
         cols = nonempty[k : k + step]
-        yield cols, np.abs(np.fft.fft(a.indicator_matrix(cols=cols), axis=1)) ** 2
+        yield cols, np.abs(np.fft.rfft(a.indicator_matrix(cols=cols), axis=1)) ** 2
 
 
 def count_skew_corners_fft(a: GridSet) -> CornerCount:
@@ -179,7 +181,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     table = lagged_table(t, sizes)
     total = 0
     for cols, power in column_power(t):
-        corr = np.fft.ifft(power, axis=1).real
+        corr = np.fft.irfft(power, n=N, axis=1)
         corr_int = np.rint(corr)
         residue = float(np.abs(corr - corr_int).max())
         if residue > FFT_RESIDUE_TOL:

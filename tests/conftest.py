@@ -292,6 +292,13 @@ def _box_scan_params(m: int, d: int, bi: bool) -> tuple[sl.SphereParams, int]:
     return sl.SphereParams(m=m, d=d, r=r, t=t), count
 
 
+def reference_dumps(a: sl.GridSet) -> str:
+    """The `skewset v1` text of `a` built one f-string per point."""
+    lines = ["skewset 1", f"ambient {a.ambient.kind} {a.ambient.size}"]
+    lines.extend(f"{x} {y}" for x, y in a.points())
+    return "\n".join(lines) + "\n"
+
+
 def reference_loads(text: str) -> sl.GridSet:
     """A line-by-line `skewset v1` parser: every line split and every token
     read by `int()`, so errors name the first bad line, then the first

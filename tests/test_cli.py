@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import skewlab as sl
 from skewlab import cli
-from conftest import EIGHT_POINTS, brute_skew_tuples, peak_memory
+from conftest import EIGHT_POINTS, brute_skew_tuples, peak_memory, reference_dumps
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +304,26 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
     code, _, _ = run_cli(capsys, "count", "--in", str(bad), "--badflag")
     assert code == 2
+
+
+def test_unreadable_input_exits_2(capsys, tmp_path):
+    # a directory, and a file holding a byte that is not UTF-8
+    code, out, err = run_cli(capsys, "verify", "--in", str(tmp_path))
+    assert code == 2 and out == "" and "error" in err
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"skewset 1\nambient torus 6\n1 \xff\n")
+    code, out, err = run_cli(capsys, "verify", "--in", str(bad))
+    assert code == 2 and out == "" and "bad point line" in err
+
+
+def test_construct_product_out_matches_the_reference_writer(capsys, tmp_path):
+    out_path = tmp_path / "p.txt"
+    code, _, _ = run_cli(
+        capsys, "construct", "product", "--n", "1296", "--out", str(out_path)
+    )
+    assert code == 0
+    want = reference_dumps(sl.product_construction(sl.find_base_set(6), 1296))
+    assert out_path.read_bytes() == want.encode()
 
 
 def test_exit_code_3_on_falsification(capsys, eight_file, monkeypatch):

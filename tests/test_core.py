@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
-from conftest import brute_has_skew_corner, peak_memory, rand_torus_set, reference_loads
+from conftest import (
+    brute_has_skew_corner,
+    peak_memory,
+    rand_torus_set,
+    reference_dumps,
+    reference_loads,
+)
 
 
 def test_make_grid_set_singleton():
@@ -237,6 +243,52 @@ def test_loads_refuses_tokens_outside_the_grammar(token):
     # digits, separated by spaces or tabs) does not
     with pytest.raises(sl.FormatError, match="bad point line"):
         sl.loads_skewset(H6 + f"{token} 2\n")
+
+
+@st.composite
+def writer_sets(draw):
+    """Small sets in both ambients, empty ones included, whose coordinates
+    favour lo, hi and the digit-count boundaries 9/10, 99/100 and 2^20."""
+    kind = draw(st.sampled_from(["grid", "torus"]))
+    size = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 2**20, 2**20 + 1]))
+    amb = sl.Ambient(kind, size)
+    edges = [v for v in (9, 10, 99, 100, 2**20) if amb.in_range(v)]
+    coord = st.one_of(
+        st.sampled_from([amb.lo, amb.hi, *edges]), st.integers(amb.lo, amb.hi)
+    )
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=20))
+    return sl.make_grid_set(pts, amb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_sets())
+def test_writer_matches_the_reference_bytes(tmp_path_factory, a):
+    want = reference_dumps(a)
+    assert sl.dumps_skewset(a) == want
+    path = tmp_path_factory.mktemp("w") / "set.txt"
+    sl.save_skewset(a, path)
+    assert path.read_bytes() == want.encode()
+
+
+def test_writer_streams_across_chunks(tmp_path, monkeypatch):
+    # chunks of 7 points cut through columns and change the digit count
+    monkeypatch.setattr("skewlab.core._WRITE_CHUNK", 7)
+    a = rand_torus_set(np.random.default_rng(5), 120, 0.05)
+    want = reference_dumps(a)
+    assert sl.dumps_skewset(a) == want
+    sl.save_skewset(a, tmp_path / "set.txt")
+    assert (tmp_path / "set.txt").read_bytes() == want.encode()
+
+
+def test_save_memory_stays_flat_in_the_set_size(tmp_path):
+    # the 9^6 product in [46656]^2, 531 441 points; one f-string per point
+    # traced 75 MiB here
+    a = sl.product_construction(sl.find_base_set(6), 46656)
+    path = tmp_path / "p.txt"
+    with peak_memory() as peak:
+        sl.save_skewset(a, path)
+    assert peak.bytes <= 16 * 2**20
+    assert path.read_bytes() == reference_dumps(a).encode()
 
 
 def test_loads_memory_stays_near_the_text_size():

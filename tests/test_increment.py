@@ -280,9 +280,14 @@ def test_increment_best_effort_at_the_cap_memory_and_time():
     n = 2048
     ys = np.random.default_rng(14).integers(1, n + 1, n)
     b = sl.GridSet.from_arrays(np.arange(1, n + 1), ys, sl.grid(n))
-    with peak_memory() as peak:
+    with peak_memory() as scan:
         _scan_candidates(b, b.density)
-    assert peak.bytes <= 80 * 2**20
+    assert scan.bytes <= 80 * 2**20
+    # the rest of the step stays below the scan: the row shifts' indicator
+    # and scores once were two nnz x N int64 arrays, 128 MiB here
+    with peak_memory() as step:
+        sl.increment_step(b)
+    assert step.bytes <= scan.bytes + 2**20
 
 
 def test_scan_matches_dense_reference():

@@ -160,12 +160,12 @@ def test_fft_refuses_oversized_ambients():
 def test_fft_residue_guard_raises_precision_error(monkeypatch):
     import numpy.fft as nf
 
-    real_ifft = nf.ifft
+    real_irfft = nf.irfft
 
-    def noisy_ifft(x, axis=-1):
-        return real_ifft(x, axis=axis) + 0.002  # above the 1e-3 tolerance
+    def noisy_irfft(x, n=None, axis=-1):
+        return real_irfft(x, n=n, axis=axis) + 0.002  # above the 1e-3 tolerance
 
-    monkeypatch.setattr(nf, "ifft", noisy_ifft)
+    monkeypatch.setattr(nf, "irfft", noisy_irfft)
     a = sl.make_grid_set([(0, 0), (0, 1), (1, 0)], sl.torus(4))
     with pytest.raises(sl.PrecisionError):
         sl.count_skew_corners_fft(a)
