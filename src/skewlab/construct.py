@@ -15,15 +15,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GridSet, grid, torus
+from .core import MAX_POINTS, GridSet, _from_keys, grid, torus
 from .errors import CapabilityError, FalsificationError, ParameterError
 from .verify import find_skew_corner, lagged_table, pair_targets
 
 # Row block size for the inner-product scan, in matrix entries.
 _SCAN_CHUNK = 4_000_000
-
-# Largest point set a construction materializes.
-MAX_POINTS = 50_000_000
 
 # Largest generating-function table `_sphere_params` allocates (32 MiB).
 MAX_SERIES_ENTRIES = 1 << 22
@@ -290,12 +287,13 @@ def product_construction(
         raise ParameterError(
             f"product set would have {s}^{k} points; refusing to materialize"
         )
-    # one digit per step, newest digit fastest: memory stays O(s^k)
-    xs = ys = np.ones(1, dtype=np.int64)
+    # the keys (x - 1) * n + (y - 1) of the set, one digit per step, newest
+    # digit fastest: memory stays O(s^k), and x, y <= b^k <= n by design
+    step = digits[:, 0] * n + digits[:, 1]
+    key = np.zeros(1, dtype=np.int64)
     for j in range(k):
-        xs = (xs[:, None] + b**j * digits[None, :, 0]).ravel()
-        ys = (ys[:, None] + b**j * digits[None, :, 1]).ravel()
-    out = GridSet.from_arrays(xs, ys, grid(n))
+        key = (key[:, None] + b**j * step[None, :]).ravel()
+    out = _from_keys(grid(n), key)
     if len(out) != len(base) ** k:
         raise FalsificationError("digit tuples collided; product size wrong")
     if product_verification(n, verify) == EXHAUSTIVE:

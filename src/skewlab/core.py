@@ -12,6 +12,7 @@ knows that layout; the others go through `column`, `column_sizes`,
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Un
 
 import numpy as np
 
-from .errors import CoordinateError, FormatError, ParameterError
+from .errors import CapabilityError, CoordinateError, FormatError, ParameterError
 
 GRID = "grid"
 TORUS = "torus"
@@ -171,34 +172,58 @@ class GridSet:
         """Fast constructor from coordinate arrays (validated, deduplicated)."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        bad = (
-            (xs < ambient.lo) | (xs > ambient.hi)
-            | (ys < ambient.lo) | (ys > ambient.hi)
-        )
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise CoordinateError(f"point ({xs[j]}, {ys[j]}) outside {ambient}")
-        return _build(ambient, xs - ambient.lo, ys)
+        if (err := _outside(xs, ys, ambient)) is not None:
+            raise err
+        return _from_keys(ambient, _keys(xs, ys, ambient))
 
     def __repr__(self) -> str:
         return f"GridSet({self.ambient}, {len(self)} points)"
 
 
-def _build(ambient: Ambient, cols: np.ndarray, ys: np.ndarray) -> GridSet:
-    """GridSet from in-range column indices x - lo and y-values, in any
-    order and with repeats."""
+def _outside(
+    xs: np.ndarray, ys: np.ndarray, ambient: Ambient
+) -> CoordinateError | None:
+    """The error naming the first point (xs[j], ys[j]) outside `ambient`,
+    or None when all are inside."""
+    lo, hi = ambient.lo, ambient.hi
+    if xs.size == 0 or lo <= min(xs.min(), ys.min()) <= max(xs.max(), ys.max()) <= hi:
+        return None
+    j = int(np.flatnonzero((xs < lo) | (xs > hi) | (ys < lo) | (ys > hi))[0])
+    return CoordinateError(f"point ({xs[j]}, {ys[j]}) outside {ambient}")
+
+
+def _keys(xs: np.ndarray, ys: np.ndarray, ambient: Ambient) -> np.ndarray:
+    """New int64 array of the keys (x - lo) * size + (y - lo) of in-range
+    points, which sort column by column."""
+    key = xs * ambient.size
+    key += ys
+    key -= ambient.lo * (ambient.size + 1)
+    return key
+
+
+def _from_keys(ambient: Ambient, key: np.ndarray) -> GridSet:
+    """GridSet from the `_keys` of in-range points, in any order and with
+    repeats.  Sorts `key` in place; when no point repeats, `key` becomes the
+    set's ys, otherwise the set is built from a deduplicated copy and `key`
+    is left sorted, repeats included."""
     size = ambient.size
-    key = np.sort(cols * size + (ys - ambient.lo))
-    fresh = np.ones(key.size, dtype=bool)
-    fresh[1:] = key[1:] != key[:-1]
-    cols, ys = np.divmod(key[fresh], size)
+    key.sort()
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    if not fresh.all():
+        key = key[fresh]
+    del fresh
+    cols = key // size
+    np.remainder(key, size, out=key)
+    key += ambient.lo
     cols += 1  # column x's count lands in offsets[x + 1]
     offsets = np.bincount(cols, minlength=size + 1).astype(np.int64, copy=False)
+    del cols
     np.cumsum(offsets, out=offsets)
-    ys += ambient.lo
     offsets.setflags(write=False)
-    ys.setflags(write=False)
-    return GridSet(ambient, offsets, ys)
+    key.setflags(write=False)
+    return GridSet(ambient, offsets, key)
 
 
 def _sealed(arr: object) -> bool:
@@ -262,16 +287,19 @@ def translate(a: GridSet, h: int, v: TranslationMap) -> GridSet:
     N = a.ambient.size
     sizes = a.column_sizes()
     nonempty = np.flatnonzero(sizes)
+    counts = sizes[nonempty]
     shifts = np.array([_shift_of(v, x) % N for x in nonempty.tolist()], dtype=np.int64)
-    xs = np.repeat((nonempty + h % N) % N, sizes[nonempty])
-    ys = (a.ys + np.repeat(shifts, sizes[nonempty])) % N
-    return _build(a.ambient, xs, ys)
+    key = np.repeat(shifts, counts)
+    key += a.ys
+    np.remainder(key, N, out=key)
+    key += np.repeat((nonempty + h % N) % N * N, counts)
+    return _from_keys(a.ambient, key)
 
 
 def transpose(a: GridSet) -> GridSet:
     """Reflect (x, y) -> (y, x).  An involution; preserves cardinality."""
     xs, ys = a.coordinates()
-    return _build(a.ambient, ys - a.ambient.lo, xs)
+    return _from_keys(a.ambient, _keys(ys, xs, a.ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +308,16 @@ def transpose(a: GridSet) -> GridSet:
 # written as ASCII with LF line ends.
 # ---------------------------------------------------------------------------
 
-_SPACE = " \t"
-_POINT_LINE = re.compile(r"([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)")
+_POINT_LINE = re.compile(rb"([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)")
+_BLANK = re.compile(rb"[ \t\n]*")
 # every byte a point body may hold; numpy's reader is laxer outside them
-_BODY_BYTES = b"0123456789+-\n" + _SPACE.encode()
+_BODY_BYTES = b"0123456789+-\n \t"
+
+# bytes per block of the reader, cut after the block's last newline
+_READ_CHUNK = 1 << 20
+
+# Largest point set a construction materializes or a reader loads.
+MAX_POINTS = 50_000_000
 
 
 # points per block of the writer: about 3 MiB of scratch at six-digit coordinates
@@ -334,20 +368,117 @@ def loads_skewset(text: str) -> GridSet:
     (spaces and tabs only) may appear anywhere; a point line is two tokens
     separated by spaces or tabs, each an optional sign and ASCII digits.
 
-    The body is parsed in one vectorised call.  Only when that fails, or
-    when a repeated point shortens the set, does `_first_error` walk the
-    lines to name the first bad line, out-of-range point or repeat.
+    The text is encoded a slice at a time and read by the block parser of
+    `load_skewset`.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def chunks() -> Iterator[bytes]:
+        for i in range(0, len(text), _READ_CHUNK):
+            yield text[i : i + _READ_CHUNK].encode("utf-8", "surrogatepass")
+
+    return _parse(chunks, "surrogatepass")
+
+
+def load_skewset(path: str | Path) -> GridSet:
+    """Read a `skewset 1` file in binary blocks of _READ_CHUNK bytes.
+
+    Memory beyond one block is about twice the set's 8 bytes per point: the
+    blocks' keys, then their concatenation, sorted in place into the set.
+    A byte that is not UTF-8 makes a bad point line, shown as U+FFFD.  When
+    a point repeats, the file is read a second time to name the first
+    repeat; a pipe, which cannot be, gets its smallest repeat named.
+    """
+    with open(path, "rb") as fh:
+
+        def chunks() -> Iterator[bytes]:
+            if fh.seekable():
+                fh.seek(0)
+            return iter(lambda: fh.read(_READ_CHUNK), b"")
+
+        return _parse(chunks, "replace")
+
+
+def _parse(source: Callable[[], Iterable[bytes]], errors: str) -> GridSet:
+    """The block parser behind both readers.  `source()` yields the input's
+    bytes in chunks, afresh on each call; `errors` is the UTF-8 error
+    handler that decodes the header, and a bad line for its message.
+
+    Each block of whole lines is parsed by one `np.loadtxt` call, range
+    checked and kept as int64 keys.  Errors name the first bad line, else
+    the first point outside the ambient, else the first repeated point,
+    without one Python object per point of the input.
+    """
+    amb, body = _body(source, errors)
+    keys: list[np.ndarray] = []
+    count = 0
+    err: CoordinateError | None = None  # for the first point outside amb
+    for block in body:
+        xy = _points(block)
+        if xy is None:
+            outside = _diagnose(block, amb, errors)  # raises for a bad line
+            err = err or outside
+            continue
+        count += len(xy)
+        if count > MAX_POINTS:
+            raise CapabilityError(f"more than {MAX_POINTS} points; refusing to load")
+        if err is None and (err := _outside(xy[:, 0], xy[:, 1], amb)) is None:
+            keys.append(_keys(xy[:, 0], xy[:, 1], amb))
+    if err is not None:
+        raise err
+    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    del keys
+    a = _from_keys(amb, key)
+    if len(a) < key.size:
+        _first_repeat(source, errors, amb, key)
+    return a
+
+
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """Regroup byte chunks into blocks of whole lines, with every CR read
+    as LF: a block ends after the last newline of its chunks, and only the
+    final block may end without one.  A CRLF becomes a blank line, which
+    the format allows anywhere, also when a chunk ends between CR and LF."""
+    parts: list[bytes | memoryview] = []
+    for chunk in chunks:
+        chunk = chunk.replace(b"\r", b"\n")
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            parts.append(chunk)
+            continue
+        parts.append(memoryview(chunk)[:cut])
+        rest = chunk[cut:]
+        block = b"".join(parts)
+        del chunk, parts  # only the block stays alive while it is parsed
+        parts = [rest]
+        yield block
+    if tail := b"".join(parts):
+        yield tail
+
+
+def _body(
+    source: Callable[[], Iterable[bytes]], errors: str
+) -> tuple[Ambient, Iterator[bytes]]:
+    """Read the two header lines; return the ambient and the nonblank
+    blocks of the body after them."""
+    blocks = _line_blocks(source())
     head: list[str] = []
-    pos = 0
-    while len(head) < 2 and pos < len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        if line := text[pos:end].strip(_SPACE):
-            head.append(line)
-        pos = end + 1
+    for block in blocks:
+        pos = 0
+        while len(head) < 2 and pos < len(block):
+            end = block.find(b"\n", pos)
+            end = len(block) if end < 0 else end
+            if line := block[pos:end].strip(b" \t"):
+                head.append(line.decode("utf-8", errors))
+            pos = end + 1
+        if len(head) == 2:
+            body = itertools.chain([block[pos:]], blocks)
+            return _ambient(head), (b for b in body if not _BLANK.fullmatch(b))
+    return _ambient(head), iter(())  # raises: fewer than two header lines
+
+
+def _ambient(head: list[str]) -> Ambient:
+    """The ambient of the header lines `head`; raises FormatError unless
+    they are "skewset 1" and a valid ambient line."""
     if not head or head[0] != "skewset 1":
         raise FormatError("missing 'skewset 1' header")
     if len(head) < 2:
@@ -356,52 +487,68 @@ def loads_skewset(text: str) -> GridSet:
     if len(parts) != 3 or parts[0] != "ambient" or parts[1] not in (GRID, TORUS):
         raise FormatError(f"bad ambient line {head[1]!r}")
     try:
-        amb = Ambient(parts[1], int(parts[2]))
+        return Ambient(parts[1], int(parts[2]))
     except ValueError as exc:
         raise FormatError(f"bad ambient size in {head[1]!r}") from exc
-    body = text[pos:]
-    if not body.strip(_SPACE + "\n"):
-        return make_grid_set((), amb)
-    raw = body.encode("ascii", errors="replace")  # "?" for non-ASCII
-    if raw.translate(None, _BODY_BYTES):
-        _first_error(body, amb)
+
+
+def _points(block: bytes) -> np.ndarray | None:
+    """The (k, 2) int64 points of a nonblank block of whole lines, or None
+    when some line is not two int64 tokens."""
+    if block.translate(None, _BODY_BYTES):
+        return None
     try:
-        xy = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
+        xy = np.loadtxt(io.BytesIO(block), dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, OverflowError):  # a bad token or line, or beyond int64
-        _first_error(body, amb)
-    if xy.shape[1] != 2:
-        _first_error(body, amb)
-    a = GridSet.from_arrays(xy[:, 0], xy[:, 1], amb)
-    if len(a) < xy.shape[0]:
-        _first_error(body, amb)
-    return a
+        return None
+    return xy if xy.shape[1] == 2 else None
 
 
-def _first_error(body: str, amb: Ambient) -> NoReturn:
-    """Raise for the first bad point line of `body`, else for the first
-    point outside `amb`, else for the first repeated point."""
-    pts = []
-    for line in body.split("\n"):
-        if not (line := line.strip(_SPACE)):
+def _diagnose(block: bytes, amb: Ambient, errors: str) -> CoordinateError:
+    """For a block `_points` refused: raise for its first bad line, else
+    return the error for its first point outside `amb`."""
+    first = None
+    for line in block.split(b"\n"):
+        if not (line := line.strip(b" \t")):
             continue
         m = _POINT_LINE.fullmatch(line)
         if m is None:
-            raise FormatError(f"bad point line {line!r}")
-        pts.append((int(m[1]), int(m[2])))
-    for p in pts:
-        if not (amb.in_range(p[0]) and amb.in_range(p[1])):
-            raise CoordinateError(f"point {p} outside {amb}")
-    seen: set[tuple[int, int]] = set()
-    for p in pts:
-        if p in seen:
-            raise FormatError(f"duplicate point {p}")
-        seen.add(p)
+            raise FormatError(f"bad point line {line.decode('utf-8', errors)!r}")
+        p = (int(m[1]), int(m[2]))
+        if first is None and not (amb.in_range(p[0]) and amb.in_range(p[1])):
+            first = CoordinateError(f"point {p} outside {amb}")
     # every line reads and every point is in range, yet numpy refused a
     # value: only an ambient wider than int64 gets here
-    raise CoordinateError(f"a point of {amb} does not fit in int64")
+    return first or CoordinateError(f"a point of {amb} does not fit in int64")
 
 
-def load_skewset(path: str | Path) -> GridSet:
-    """Read a `skewset 1` file; a byte that is not UTF-8 becomes U+FFFD,
-    which `loads_skewset` rejects like any other non-ASCII text."""
-    return loads_skewset(Path(path).read_text(encoding="utf-8", errors="replace"))
+def _first_repeat(
+    source: Callable[[], Iterable[bytes]], errors: str, amb: Ambient, key: np.ndarray
+) -> NoReturn:
+    """Raise for the first point of the input that repeats an earlier one.
+    `key` holds the keys of all its points, sorted; a second pass over the
+    blocks checks each point against the repeated keys alone.  When the
+    input cannot be read again, its smallest repeated point is named."""
+    rep = key[1:][key[1:] == key[:-1]]
+    rep = rep[np.flatnonzero(np.diff(rep, prepend=-1))]  # each repeated key once
+    seen = np.zeros(rep.size, dtype=bool)
+    try:
+        body = _body(source, errors)[1]
+    except FormatError:  # a pipe reads empty the second time
+        body = iter(())
+    for block in body:
+        if (xy := _points(block)) is None:
+            continue  # the input changed since the first pass
+        k = _keys(xy[:, 0], xy[:, 1], amb)
+        at = np.minimum(np.searchsorted(rep, k), rep.size - 1)
+        hit = np.flatnonzero(rep[at] == k)
+        at = at[hit]
+        again = np.ones(at.size, dtype=bool)
+        again[np.unique(at, return_index=True)[1]] = False
+        again |= seen[at]
+        if again.any():
+            p = tuple(xy[hit[np.argmax(again)]].tolist())
+            raise FormatError(f"duplicate point {p}")
+        seen[at] = True
+    x, y = divmod(int(rep[0]), amb.size)
+    raise FormatError(f"duplicate point {(x + amb.lo, y + amb.lo)}")

@@ -316,6 +316,14 @@ def test_unreadable_input_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "bad point line" in err
 
 
+def test_verify_refuses_a_file_beyond_max_points(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "p.txt"
+    sl.save_skewset(sl.product_construction(sl.find_base_set(6), 1296), path)
+    monkeypatch.setattr("skewlab.core.MAX_POINTS", 1000)  # the file has 9^4
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 2 and out == "" and "more than 1000 points" in err
+
+
 def test_construct_product_out_matches_the_reference_writer(capsys, tmp_path):
     out_path = tmp_path / "p.txt"
     code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +104,29 @@ def test_coordinates_follow_points():
         assert list(zip(xs.tolist(), ys.tolist())) == list(a.points())
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_key_builds_match_a_set_model(data):
+    # from_arrays, transpose and translate build their keys in place;
+    # repeats, size 1 and empty input included
+    kind = data.draw(st.sampled_from(["grid", "torus"]))
+    amb = sl.Ambient(kind, data.draw(st.sampled_from([1, 2, 5, 7])))
+    coord = st.integers(amb.lo, amb.hi)
+    pts = data.draw(st.lists(st.tuples(coord, coord), max_size=30))
+    xs = np.array([x for x, _ in pts], dtype=np.int64)
+    ys = np.array([y for _, y in pts], dtype=np.int64)
+    model = set(pts)
+    a = sl.GridSet.from_arrays(xs, ys, amb)
+    assert list(a.points()) == sorted(model)
+    assert list(sl.transpose(a).points()) == sorted((y, x) for x, y in model)
+    if kind == "torus":
+        N = amb.size
+        h = data.draw(st.integers(-2 * N, 2 * N))
+        v = data.draw(st.lists(st.integers(-2 * N, 2 * N), min_size=N, max_size=N))
+        moved = {((x + h) % N, (y + v[x]) % N) for x, y in model}
+        assert list(sl.translate(a, h, v).points()) == sorted(moved)
+
+
 def test_transpose_examples():
     a = sl.make_grid_set([(1, 2)], sl.grid(3))
     assert list(sl.transpose(a).points()) == [(2, 1)]
@@ -202,10 +226,29 @@ def noisy_skewset_text(draw):
     return "".join(line + draw(ends) for line in out)
 
 
+# reader block sizes: a few bytes cut through lines, CRLF pairs and the
+# header, and the default, which reads a small input in one block
+READ_CHUNKS = (1, 2, 3, 5, 8, 1 << 20)
+
+
+def _read_outcomes(text, path):
+    """(block size, reader, outcome) of `loads_skewset(text)` and of
+    `load_skewset` on the text's UTF-8 bytes, at every size in READ_CHUNKS."""
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in READ_CHUNKS:
+            mp.setattr("skewlab.core._READ_CHUNK", chunk)
+            yield chunk, "loads", _outcome(sl.loads_skewset, text)
+            yield chunk, "load", _outcome(sl.load_skewset, path)
+
+
 @settings(max_examples=150, deadline=None)
 @given(noisy_skewset_text())
-def test_loads_matches_the_line_parser_on_noisy_text(text):
-    assert _outcome(sl.loads_skewset, text) == _outcome(reference_loads, text)
+def test_loads_matches_the_line_parser_on_noisy_text(tmp_path_factory, text):
+    want = _outcome(reference_loads, text)
+    path = tmp_path_factory.mktemp("r") / "set.txt"
+    for chunk, reader, got in _read_outcomes(text, path):
+        assert got == want, (chunk, reader)
 
 
 H6 = "skewset 1\nambient torus 6\n"
@@ -224,17 +267,17 @@ H6 = "skewset 1\nambient torus 6\n"
         H6 + "1 1\n2 2\n1 1\n",
         H6 + "0 9\n1 1\n1 1\n4 x\n",
         H6 + "1 1\n1 1\n0 9\n",
+        H6 + "3 3\n1 1\n3 3\n1 1\n",
         "ambient torus 6\n1 1\n",
         "\n \nskewset 1\n",
         "skewset 1\nambient ring 6\n",
         "skewset 1\nambient grid x\n",
     ],
 )
-def test_loads_errors_match_the_line_parser(text):
+def test_loads_errors_match_the_line_parser(tmp_path, text):
     want_type, want_msg = _outcome(reference_loads, text)
-    with pytest.raises(want_type) as exc:
-        sl.loads_skewset(text)
-    assert type(exc.value) is want_type and str(exc.value) == want_msg
+    for chunk, reader, got in _read_outcomes(text, tmp_path / "set.txt"):
+        assert got == (want_type, want_msg), (chunk, reader)
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "0x1", "1\xa0", "1\x0b"])
@@ -243,6 +286,84 @@ def test_loads_refuses_tokens_outside_the_grammar(token):
     # digits, separated by spaces or tabs) does not
     with pytest.raises(sl.FormatError, match="bad point line"):
         sl.loads_skewset(H6 + f"{token} 2\n")
+
+
+def test_reader_reads_cr_only_and_cut_crlf_files(tmp_path, monkeypatch):
+    pts = [(0, 1), (2, 3), (5, 5), (1, 0)]
+    want = sl.make_grid_set(pts, sl.torus(6))
+    lines = ["skewset 1", "ambient torus 6"] + [f"{x} {y}" for x, y in pts]
+    path = tmp_path / "set.txt"
+    for end in ("\r", "\r\n"):
+        raw = "".join(line + end for line in lines).encode()
+        path.write_bytes(raw)
+        # every block size up to the file's, so that some block ends
+        # between the CR and the LF of each CRLF pair
+        for chunk in range(1, len(raw) + 1):
+            monkeypatch.setattr("skewlab.core._READ_CHUNK", chunk)
+            assert sl.load_skewset(path) == want, (end, chunk)
+
+
+def test_reader_names_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
+    raw = H6.encode() + b"1 2\n3 \xff4\n\xc3\n"
+    want = _outcome(reference_loads, raw.decode("utf-8", "replace"))
+    assert want == (sl.FormatError, "bad point line '3 \ufffd4'")
+    path = tmp_path / "set.txt"
+    path.write_bytes(raw)
+    for chunk in (1, 4, 1 << 20):
+        monkeypatch.setattr("skewlab.core._READ_CHUNK", chunk)
+        assert _outcome(sl.load_skewset, path) == want
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_reader_names_the_first_error_in_any_block(tmp_path, monkeypatch, where):
+    # 400 point lines in blocks of 64 bytes; each error goes in one block,
+    # behind an outside point and a repeat in earlier or later blocks
+    a = rand_torus_set(np.random.default_rng(11), 40, 0.25)
+    lines = sl.dumps_skewset(a).splitlines()[2:]
+    at = {"first": 0, "middle": len(lines) // 2, "last": len(lines)}[where]
+    variants = {
+        "bad line": lines[:at] + ["7 x"] + lines[at:],
+        "outside": lines[:at] + ["3 40"] + lines[at:] + ["40 3"],
+        "repeats": lines[:at] + [lines[-1]] + lines[at:] + [lines[0]],
+        "bad after outside": ["3 40"] + lines[:at] + ["7 x"] + lines[at:],
+        "outside after repeat": [lines[0]] + lines[:at] + ["-1 3"] + lines[at:],
+    }
+    monkeypatch.setattr("skewlab.core._READ_CHUNK", 64)
+    path = tmp_path / "set.txt"
+    for name, body in variants.items():
+        text = "skewset 1\nambient torus 40\n" + "\n".join(body) + "\n"
+        want = _outcome(reference_loads, text)
+        assert isinstance(want, tuple), name
+        path.write_text(text)
+        assert _outcome(sl.loads_skewset, text) == want, name
+        assert _outcome(sl.load_skewset, path) == want, name
+
+
+def test_reader_names_a_repeat_in_a_pipe():
+    # a pipe cannot be read a second time to find the first repeat, (3, 3);
+    # the smallest one is named instead
+    r, w = os.pipe()
+    try:
+        os.write(w, (H6 + "3 3\n1 1\n3 3\n1 1\n").encode())
+        os.close(w)
+        with pytest.raises(sl.FormatError, match=r"^duplicate point \(1, 1\)$"):
+            sl.load_skewset(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_reader_refuses_more_than_max_points_before_building(tmp_path, monkeypatch):
+    # the 9^6 product in [46656]^2, 531 441 points in 5.4 MB, whose full
+    # read traces about 9.5 MiB; a limit of 1000 points stops the read
+    # after its first block of 64 KiB
+    path = tmp_path / "p.txt"
+    sl.save_skewset(sl.product_construction(sl.find_base_set(6), 46656), path)
+    monkeypatch.setattr("skewlab.core.MAX_POINTS", 1000)
+    monkeypatch.setattr("skewlab.core._READ_CHUNK", 1 << 16)
+    with peak_memory() as peak:
+        with pytest.raises(sl.CapabilityError, match="more than 1000 points"):
+            sl.load_skewset(path)
+    assert peak.bytes <= 2**20
 
 
 @st.composite
@@ -289,6 +410,17 @@ def test_save_memory_stays_flat_in_the_set_size(tmp_path):
         sl.save_skewset(a, path)
     assert peak.bytes <= 16 * 2**20
     assert path.read_bytes() == reference_dumps(a).encode()
+
+
+def test_load_memory_stays_near_twice_the_set(tmp_path):
+    # the 9^6 product file, 5.4 MB for 531 441 points (4.3 MB as int64);
+    # reading the whole file as text traced 47 MiB here
+    a = sl.product_construction(sl.find_base_set(6), 46656)
+    path = tmp_path / "p.txt"
+    sl.save_skewset(a, path)
+    with peak_memory() as peak:
+        assert sl.load_skewset(path) == a
+    assert peak.bytes <= 16 * 2**20
 
 
 def test_loads_memory_stays_near_the_text_size():
