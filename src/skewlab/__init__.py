@@ -80,6 +80,7 @@ from .fourier import (
     lambda_form,
     parseval_bound,
     row_transforms,
+    set_lambda_form,
     technical_select,
     zeta_value,
 )

@@ -43,11 +43,10 @@ from .errors import FalsificationError, ParameterError, SkewLabError
 from .fourier import (
     AnalysisConfig,
     Progression,
-    TwoDFunction,
     check_gvn,
     dichotomy_report,
-    lambda_form,
     parseval_bound,
+    set_lambda_form,
 )
 from .increment import increment_step, product_set_experiment
 from .search import DEFAULT_BUDGET, find_base_set, max_skew_corner_free
@@ -238,16 +237,14 @@ def _cmd_diagnose(args) -> int:
     elif args.check == "parseval":
         report = {"check": "parseval", **_jsonable(parseval_bound(a))}
     else:
-        ind = TwoDFunction.indicator(a)
-        lam = lambda_form(ind, ind, ind)
-        c = count_skew_corners_fft(a)
-        N = ind.modulus
+        lam, total = set_lambda_form(a)
+        N = a.ambient.size * (2 if a.ambient.kind == "grid" else 1)
         report = {
             "check": "lambda",
             "lambda": lam,
             "n4_lambda": lam * N**4,
-            "count_total": c.total,
-            "relative_gap": abs(lam * N**4 - c.total) / max(c.total, 1),
+            "count_total": total,
+            "relative_gap": abs(lam * N**4 - total) / max(total, 1),
         }
     _emit(report, args.report)
     return 0

@@ -192,13 +192,19 @@ def _outside(
     return CoordinateError(f"point ({xs[j]}, {ys[j]}) outside {ambient}")
 
 
-def _keys(xs: np.ndarray, ys: np.ndarray, ambient: Ambient) -> np.ndarray:
-    """New int64 array of the keys (x - lo) * size + (y - lo) of in-range
-    points, which sort column by column."""
-    key = xs * ambient.size
+def _keys(
+    xs: np.ndarray, ys: np.ndarray, ambient: Ambient, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The int64 keys (x - lo) * size + (y - lo) of in-range points, which
+    sort column by column; written into `out` when given, else a new array."""
+    key = np.multiply(xs, ambient.size, out=out)
     key += ys
     key -= ambient.lo * (ambient.size + 1)
     return key
+
+
+# keys per chunk of `_from_keys`' column split
+_OFFSET_CHUNK = 1 << 14
 
 
 def _from_keys(ambient: Ambient, key: np.ndarray) -> GridSet:
@@ -214,13 +220,16 @@ def _from_keys(ambient: Ambient, key: np.ndarray) -> GridSet:
     if not fresh.all():
         key = key[fresh]
     del fresh
-    cols = key // size
+    # offsets[x + 1] is 1 + the position of column x's last key, read a
+    # chunk of keys at a time; empty columns repeat the offset before them
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    for j in range(0, key.size, _OFFSET_CHUNK):
+        cols = key[j : j + _OFFSET_CHUNK] // size
+        last = np.append(cols[1:] != cols[:-1], True)
+        offsets[cols[last] + 1] = np.flatnonzero(last) + j + 1
+    np.maximum.accumulate(offsets, out=offsets)
     np.remainder(key, size, out=key)
     key += ambient.lo
-    cols += 1  # column x's count lands in offsets[x + 1]
-    offsets = np.bincount(cols, minlength=size + 1).astype(np.int64, copy=False)
-    del cols
-    np.cumsum(offsets, out=offsets)
     offsets.setflags(write=False)
     key.setflags(write=False)
     return GridSet(ambient, offsets, key)
@@ -314,7 +323,9 @@ _BLANK = re.compile(rb"[ \t\n]*")
 _BODY_BYTES = b"0123456789+-\n \t"
 
 # bytes per block of the reader, cut after the block's last newline
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 18
+# the reader's key array grows by 1/_GROWTH of its size when it is full
+_GROWTH = 4
 
 # Largest point set a construction materializes or a reader loads.
 MAX_POINTS = 50_000_000
@@ -382,8 +393,9 @@ def loads_skewset(text: str) -> GridSet:
 def load_skewset(path: str | Path) -> GridSet:
     """Read a `skewset 1` file in binary blocks of _READ_CHUNK bytes.
 
-    Memory beyond one block is about twice the set's 8 bytes per point: the
-    blocks' keys, then their concatenation, sorted in place into the set.
+    Memory beyond one block is about once the set's 8 bytes per point: each
+    block's keys are written into one array that grows in place, and that
+    array is sorted in place into the set's ys.
     A byte that is not UTF-8 makes a bad point line, shown as U+FFFD.  When
     a point repeats, the file is read a second time to name the first
     repeat; a pipe, which cannot be, gets its smallest repeat named.
@@ -404,12 +416,14 @@ def _parse(source: Callable[[], Iterable[bytes]], errors: str) -> GridSet:
     handler that decodes the header, and a bad line for its message.
 
     Each block of whole lines is parsed by one `np.loadtxt` call, range
-    checked and kept as int64 keys.  Errors name the first bad line, else
-    the first point outside the ambient, else the first repeated point,
-    without one Python object per point of the input.
+    checked, and its int64 keys are written into one array that grows by
+    1/_GROWTH of its size when full and is cut to the count at the end, so
+    it owns its data and becomes the set's ys.  Errors name the first bad
+    line, else the first point outside the ambient, else the first repeated
+    point, without one Python object per point of the input.
     """
     amb, body = _body(source, errors)
-    keys: list[np.ndarray] = []
+    key = np.empty(0, dtype=np.int64)
     count = 0
     err: CoordinateError | None = None  # for the first point outside amb
     for block in body:
@@ -418,15 +432,17 @@ def _parse(source: Callable[[], Iterable[bytes]], errors: str) -> GridSet:
             outside = _diagnose(block, amb, errors)  # raises for a bad line
             err = err or outside
             continue
-        count += len(xy)
+        start, count = count, count + len(xy)
         if count > MAX_POINTS:
             raise CapabilityError(f"more than {MAX_POINTS} points; refusing to load")
         if err is None and (err := _outside(xy[:, 0], xy[:, 1], amb)) is None:
-            keys.append(_keys(xy[:, 0], xy[:, 1], amb))
+            if count > key.size:
+                # no view of `key` outlives a statement, so it may move
+                key.resize(max(count, key.size + key.size // _GROWTH), refcheck=False)
+            _keys(xy[:, 0], xy[:, 1], amb, out=key[start:count])
     if err is not None:
         raise err
-    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-    del keys
+    key.resize(count, refcheck=False)
     a = _from_keys(amb, key)
     if len(a) < key.size:
         _first_repeat(source, errors, amb, key)

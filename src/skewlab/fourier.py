@@ -20,7 +20,14 @@ import numpy as np
 
 from .core import GRID, GridSet, TORUS, embed_torus
 from .errors import ConsistencyError, FalsificationError, ParameterError
-from .verify import check_fft_side, column_power, count_skew_corners_fft, find_skew_corner
+from .verify import (
+    autocorrelation_total,
+    check_fft_side,
+    column_power,
+    count_skew_corners_fft,
+    find_skew_corner,
+    lagged_table,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -217,6 +224,52 @@ def lambda_form(
             f"{spectral!r} beyond {tol}"
         )
     return direct
+
+
+def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
+    """The counting form lambda(1_A, 1_A, 1_A) of a torus set, or of a grid
+    set embedded into the torus of side N = 2n, without an N x N array.
+
+    One pass over the `verify.column_power` blocks evaluates it two ways:
+    directly, as the FFT count's exact integer sum_{x,d} c_x(d) |A_{x+d}|
+    over N^4 (see `verify.autocorrelation_total`), and spectrally, as
+
+        N^-5 sum_a conj(S(a)) sum_x P_x(a) e(-ax/N)
+
+    with P_x the power spectrum of column x and S the transform of the
+    column sizes.  Real rows give P_x(N - a) = P_x(a), so the sum runs over
+    the rfft half, weighted 1, 2, ..., 2, 1.  The two must agree within
+    `tol`, as in `lambda_form`.  Returns the spectral value and the integer.
+    """
+    t = embed_torus(a) if a.ambient.kind == GRID else a
+    sizes = t.column_sizes()
+    N = sizes.size
+    freqs = np.arange(N // 2 + 1)
+    angle = 2 * np.pi / N * np.arange(N)
+    cos, sin = np.cos(angle), np.sin(angle)
+    table = lagged_table(t, sizes.astype(np.float64))
+    total = 0
+    re = np.zeros(freqs.size)  # sum_x P_x(a) e(-ax/N) = re - i im
+    im = np.zeros(freqs.size)
+    for cols, power in column_power(t):
+        total += autocorrelation_total(table, cols, power)
+        at = np.multiply.outer(cols, freqs)
+        at %= N
+        re += np.einsum("xa,xa->a", power, cos[at])
+        im += np.einsum("xa,xa->a", power, sin[at])
+    s = np.fft.rfft(sizes)
+    weight = np.full(freqs.size, 2.0)
+    weight[0] = 1
+    if N % 2 == 0:
+        weight[-1] = 1
+    spectral = float(weight @ (s.real * re - s.imag * im)) / N**5
+    direct = total / N**4
+    if abs(direct - spectral) > tol:
+        raise ConsistencyError(
+            f"counting form mismatch: direct {direct!r} vs spectral "
+            f"{spectral!r} beyond {tol}"
+        )
+    return spectral, total
 
 
 # ---------------------------------------------------------------------------

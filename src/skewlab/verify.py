@@ -20,18 +20,22 @@ from .errors import CapabilityError, ParameterError, PrecisionError
 # the float FFT path is exact as long as the residue stays tiny.
 FFT_RESIDUE_TOL = 1e-3
 
-# One side cap for every FFT and spectral path: the count, the cross
-# spectrum and the increment's subsquare scan hold no N x N array, but
-# `lambda_form` and `TwoDFunction` still do.  Past it (embedded grids double n) the naive
-# counter is the right tool.
+# One side cap for every FFT and spectral path.  The paths on sets (the
+# count, the counting form, the cross spectrum and the increment's
+# subsquare scan) hold no N x N array; only the public dense helpers
+# `TwoDFunction`, `row_transforms` and `lambda_form` do, so the cap is a
+# time limit on sets.  Past it (embedded grids double n) the naive counter
+# is the right tool.
 MAX_FFT_SIDE = 4096
 
-# Indicator rows are transformed in blocks of this many entries (1 MiB as
-# complex).  Each block's temporaries are freed before the next block;
+# Indicator rows are transformed in blocks of this many entries (512 KiB
+# as complex).  Each block's temporaries are freed before the next block;
 # kept this small, the allocator reuses their pages instead of returning
-# them to the system and faulting them in again (4 times as large, the
-# FFT count on the torus 4096 at 1/50 took 80 000 more page faults).
-_BLOCK_ENTRIES = 1 << 16
+# them to the system and faulting them in again.  glibc raises its mmap
+# and trim thresholds only after freeing a larger block, and the reader
+# frees none: at 2^16 entries `count --method fft` on the torus 4096 at
+# 1/50 took 93 000 page faults, at 2^15 7 000.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def check_fft_side(N: int) -> None:
@@ -56,7 +60,10 @@ class CornerCount:
 
 
 # Column pairs are differenced in row blocks of at most this many entries
-# (512 KiB of int64), so memory stays flat however tall a column is.
+# (512 KiB of int64), so memory stays flat however tall a column is.  The
+# blocks are written into one reused buffer: allocated afresh, glibc mapped
+# and unmapped each one after a reader that frees no large array, and
+# `count --method naive` on the torus 1024 at 1/2 took 78 000 page faults.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -88,8 +95,11 @@ def pair_targets(
     of t is j1 = j0 + r).  With `draw`, t covers the pairs (j1, j2) that
     `draw(i, k)` returns as one flat block with j0 = 0, and the column is
     skipped when it returns None.  d = 0 exactly where t == i + size - 1.
+    Without `draw`, every t is a view of one buffer, which the next block
+    overwrites.
     """
     size = a.ambient.size
+    buf = np.empty(0, dtype=np.int64)
     for i, ys in a.nonempty_columns():
         if ys.size < 2:
             continue
@@ -99,9 +109,12 @@ def pair_targets(
             if pairs is not None:
                 yield i, ys, 0, at[pairs[1]] - ys[pairs[0]]
             continue
-        rows = max(1, _PAIR_BLOCK // ys.size)
+        rows = min(ys.size, max(1, _PAIR_BLOCK // ys.size))
+        if buf.size < rows * ys.size:
+            buf = np.empty(rows * ys.size, dtype=np.int64)
         for j0 in range(0, ys.size, rows):
-            yield i, ys, j0, at[None, :] - ys[j0 : j0 + rows, None]
+            t = buf[: min(rows, ys.size - j0) * ys.size].reshape(-1, ys.size)
+            yield i, ys, j0, np.subtract(at, ys[j0 : j0 + len(t), None], out=t)
 
 
 def find_skew_corner(a: GridSet) -> Optional[Witness]:
@@ -143,13 +156,20 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     the pairs come in blocks; 64-bit integer arithmetic throughout.
     """
     sizes = a.column_sizes()
+    trivial = int(sizes @ sizes)
+    lone = int(np.count_nonzero(sizes == 1))
     table = lagged_table(a, sizes)
-    pairs = sum(int(table[t].sum()) for _, _, _, t in pair_targets(a))
-    trivial = int((sizes * sizes).sum())
+    del sizes  # the table holds them; in a wide grid both are large
+    looked_up = np.empty(0, dtype=np.int64)  # table[t], reused like t
+    pairs = 0
+    for _, _, _, t in pair_targets(a):
+        if looked_up.size < t.size:
+            looked_up = np.empty(t.size, dtype=np.int64)
+        # every t is in range; "clip" writes into `out` without a buffer
+        pairs += int(table.take(t.ravel(), out=looked_up[: t.size], mode="clip").sum())
     # the pairs include each column's k trivial pairs d = 0, which meet its
-    # own k points, except in the skipped columns of one point
-    nontrivial = pairs - trivial + int((sizes == 1).sum())
-    return CornerCount(trivial=trivial, nontrivial=nontrivial)
+    # own k points, except in the `lone` skipped columns of one point
+    return CornerCount(trivial=trivial, nontrivial=pairs - trivial + lone)
 
 
 def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -173,29 +193,39 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     """FFT-accelerated count; equals the naive oracle exactly.
 
     Grid inputs are embedded into the torus of side 2n first, so the counts
-    refer to the torus.  Each nonempty column's cyclic autocorrelation c_x
-    is the inverse transform of its power spectrum, rounded to the nearest
-    integer; a residue above FFT_RESIDUE_TOL raises PrecisionError.  The
-    total is sum_{x,d} c_x(d) |A_{x+d}|.
+    refer to the torus.  The total is sum_{x,d} c_x(d) |A_{x+d}| over the
+    `column_power` blocks (see `autocorrelation_total`).
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
     sizes = t.column_sizes()
-    N = sizes.size
     trivial = int((sizes * sizes).sum())
-    table = lagged_table(t, sizes)
-    total = 0
-    for cols, power in column_power(t):
-        corr = np.fft.irfft(power, n=N, axis=1)
-        corr_int = np.rint(corr)
-        residue = float(np.abs(corr - corr_int).max())
-        if residue > FFT_RESIDUE_TOL:
-            raise PrecisionError(
-                f"autocorrelation rounding residue {residue:.3g} exceeds "
-                f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
-            )
-        lagged = table[cols[:, None] + np.arange(N - 1, 2 * N - 1)]  # |A_{x+d}|
-        total += int(np.einsum("xd,xd->", corr_int.astype(np.int64), lagged))
+    table = lagged_table(t, sizes.astype(np.float64))
+    total = sum(autocorrelation_total(table, *block) for block in column_power(t))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
+
+
+def autocorrelation_total(table: np.ndarray, cols: np.ndarray, power: np.ndarray) -> int:
+    """sum_{x, d} c_x(d) |A_{x+d}| over the columns x of one `column_power`
+    block (cols, power), where `table` is the float64 `lagged_table` of the
+    column sizes.  Each cyclic autocorrelation c_x is the inverse transform
+    of its power spectrum, rounded to the nearest integer; a residue above
+    FFT_RESIDUE_TOL raises PrecisionError."""
+    N = (table.size + 2) // 3
+    corr = np.fft.irfft(power, n=N, axis=1)
+    rounded = np.rint(corr)
+    np.subtract(corr, rounded, out=corr)
+    residue = float(np.abs(corr, out=corr).max())
+    if residue > FFT_RESIDUE_TOL:
+        raise PrecisionError(
+            f"autocorrelation rounding residue {residue:.3g} exceeds "
+            f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
+        )
+    # a row's terms are integers summing to at most N^3 < 2^53, so each
+    # float64 dot product is exact; row x meets table[x + N - 1 + d]
+    return sum(
+        int(row @ table[x + N - 1 : x + 2 * N - 1])
+        for x, row in zip(cols.tolist(), rounded)
+    )
 
 
 def count_corners(a: GridSet) -> CornerCount:

@@ -5,13 +5,21 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
 from skewlab import cli
-from conftest import EIGHT_POINTS, brute_skew_tuples, peak_memory, reference_dumps
+from conftest import (
+    EIGHT_POINTS,
+    brute_skew_tuples,
+    peak_memory,
+    rand_grid_set,
+    rand_torus_set,
+    reference_dumps,
+)
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +209,23 @@ def test_diagnose_checks(capsys, eight_file):
         code, out, _ = run_cli(capsys, "diagnose", "--in", eight_file, "--check", check)
         assert code == 0, check
         assert json.loads(out)["check"] == check
+
+
+def test_diagnose_lambda_report(capsys, tmp_path):
+    # the report keeps its keys, and its lambda matches the dense oracle
+    rng = np.random.default_rng(47)
+    for a, N in ((rand_torus_set(rng, 12, 0.3), 12), (rand_grid_set(rng, 9, 0.4), 18)):
+        path = tmp_path / "a.txt"
+        sl.save_skewset(a, path)
+        code, out, _ = run_cli(capsys, "diagnose", "--in", str(path), "--check", "lambda")
+        assert code == 0
+        rep = json.loads(out)
+        assert set(rep) == {"check", "lambda", "n4_lambda", "count_total", "relative_gap"}
+        ind = sl.TwoDFunction.indicator(a)
+        assert rep["lambda"] == pytest.approx(sl.lambda_form(ind, ind, ind), rel=1e-12)
+        assert rep["count_total"] == sl.count_skew_corners_fft(a).total
+        assert rep["n4_lambda"] == pytest.approx(rep["lambda"] * N**4)
+        assert rep["relative_gap"] < 1e-12
 
 
 def test_diagnose_dichotomy_grid(capsys, tmp_path):

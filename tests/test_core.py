@@ -1,5 +1,6 @@
 import itertools
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -352,6 +353,71 @@ def test_reader_names_a_repeat_in_a_pipe():
         os.close(r)
 
 
+def _shuffled_text(a: sl.GridSet, seed: int) -> tuple[str, list[str]]:
+    """The skewset text of `a` with its point lines in a seeded random
+    order, and those lines."""
+    lines = sl.dumps_skewset(a).splitlines()
+    body = lines[2:]
+    np.random.default_rng(seed).shuffle(body)
+    return "\n".join(lines[:2] + body) + "\n", body
+
+
+def test_reader_grows_one_key_array_across_many_blocks(tmp_path, monkeypatch):
+    # about 20 000 points in 4 KiB blocks: dozens of blocks and growth
+    # steps, with the points out of order
+    a = rand_torus_set(np.random.default_rng(13), 200, 0.5)
+    text, body = _shuffled_text(a, 13)
+    monkeypatch.setattr("skewlab.core._READ_CHUNK", 4096)
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    for got in (sl.load_skewset(path), sl.loads_skewset(text)):
+        assert got == a
+        # the parsed keys became the set's ys without a copy
+        assert got.ys.flags.owndata and got.ys.base is None
+    head = "skewset 1\nambient torus 200\n"
+    variants = {
+        "repeat": body + [body[len(body) // 2]],
+        "bad line": body + ["1 2 3"],
+        "outside": body + ["5 200"],
+        "outside then repeat": body[:100] + ["200 5"] + body + [body[0]],
+    }
+    for name, lines in variants.items():
+        text = head + "\n".join(lines) + "\n"
+        path.write_text(text)
+        want = _outcome(reference_loads, text)
+        assert isinstance(want, tuple), name
+        assert _outcome(sl.load_skewset, path) == want, name
+        assert _outcome(sl.loads_skewset, text) == want, name
+
+
+def test_reader_loads_a_pipe_across_blocks(monkeypatch):
+    # a pipe cannot seek; its blocks are read once, in 4 KiB pieces
+    a = rand_torus_set(np.random.default_rng(17), 150, 0.3)
+    raw = _shuffled_text(a, 17)[0].encode()
+    monkeypatch.setattr("skewlab.core._READ_CHUNK", 4096)
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, raw), os.close(w)))
+    writer.start()
+    try:
+        assert sl.load_skewset(f"/dev/fd/{r}") == a
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert not writer.is_alive()
+
+
+def test_reader_max_points_boundary(tmp_path, monkeypatch):
+    a = rand_torus_set(np.random.default_rng(19), 60, 0.5)
+    path = tmp_path / "set.txt"
+    sl.save_skewset(a, path)
+    monkeypatch.setattr("skewlab.core._READ_CHUNK", 512)
+    monkeypatch.setattr("skewlab.core.MAX_POINTS", len(a))
+    assert sl.load_skewset(path) == a
+    monkeypatch.setattr("skewlab.core.MAX_POINTS", len(a) - 1)
+    with pytest.raises(sl.CapabilityError, match=f"more than {len(a) - 1} points"):
+        sl.load_skewset(path)
+
+
 def test_reader_refuses_more_than_max_points_before_building(tmp_path, monkeypatch):
     # the 9^6 product in [46656]^2, 531 441 points in 5.4 MB, whose full
     # read traces about 9.5 MiB; a limit of 1000 points stops the read
@@ -412,15 +478,16 @@ def test_save_memory_stays_flat_in_the_set_size(tmp_path):
     assert path.read_bytes() == reference_dumps(a).encode()
 
 
-def test_load_memory_stays_near_twice_the_set(tmp_path):
+def test_load_memory_stays_near_one_copy_of_the_set(tmp_path):
     # the 9^6 product file, 5.4 MB for 531 441 points (4.3 MB as int64);
-    # reading the whole file as text traced 47 MiB here
+    # reading the whole file as text traced 47 MiB, and keeping each
+    # block's keys until one concatenation traced 9.5 MiB
     a = sl.product_construction(sl.find_base_set(6), 46656)
     path = tmp_path / "p.txt"
     sl.save_skewset(a, path)
     with peak_memory() as peak:
         assert sl.load_skewset(path) == a
-    assert peak.bytes <= 16 * 2**20
+    assert peak.bytes <= a.ys.nbytes + a.offsets.nbytes + 3 * 2**20
 
 
 def test_loads_memory_stays_near_the_text_size():

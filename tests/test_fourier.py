@@ -97,6 +97,57 @@ def test_lambda_consistency_guard_detects_route_disagreement(monkeypatch):
         sl.lambda_form(ind, ind, ind)
 
 
+def _lambda_corpus():
+    """Random grid and torus sets with N <= 64 (grids embed at 2n <= 64),
+    odd sides, the empty set and single points among them."""
+    rng = np.random.default_rng(43)
+    sets = [
+        sl.make_grid_set([], sl.torus(5)),
+        sl.make_grid_set([], sl.grid(4)),
+        sl.make_grid_set([(0, 0)], sl.torus(1)),
+        sl.make_grid_set([(3, 1)], sl.torus(7)),
+        sl.make_grid_set([(2, 2)], sl.grid(3)),
+    ]
+    for side in (1, 2, 3, 4, 7, 15, 16, 31, 64):
+        for density in (0.05, 0.4, 1.0):
+            sets.append(rand_torus_set(rng, side, density))
+            if side <= 32:
+                sets.append(rand_grid_set(rng, side, density))
+    return sets
+
+
+def test_set_lambda_form_matches_the_dense_oracle():
+    for a in _lambda_corpus():
+        ind = sl.TwoDFunction.indicator(a)
+        lam, total = sl.set_lambda_form(a)
+        assert lam == pytest.approx(sl.lambda_form(ind, ind, ind), rel=1e-12, abs=1e-15), a
+        assert total == sl.count_skew_corners_fft(a).total
+        if a.ambient.kind == "torus":
+            assert total == sl.count_skew_corners_naive(a).total
+
+
+def test_set_lambda_form_guard_detects_route_disagreement(monkeypatch):
+    import skewlab.fourier as fourier_mod
+
+    real = fourier_mod.autocorrelation_total
+    monkeypatch.setattr(
+        fourier_mod, "autocorrelation_total", lambda *block: real(*block) + 1
+    )
+    a = sl.make_grid_set([(0, 0), (1, 2), (3, 1)], sl.torus(4))
+    with pytest.raises(sl.ConsistencyError):
+        sl.set_lambda_form(a)
+
+
+def test_set_lambda_form_builds_no_square_array():
+    # a torus of side 512 at density 1/2; one N x N float64 array is 2 MiB
+    a = rand_torus_set(np.random.default_rng(41), 512, 0.5)
+    with peak_memory() as peak:
+        lam, total = sl.set_lambda_form(a)
+    assert peak.bytes < 1.5 * 2**20
+    assert total == sl.count_skew_corners_naive(a).total
+    assert lam * 512**4 == pytest.approx(total, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # marginals and balanced functions
 # ---------------------------------------------------------------------------
