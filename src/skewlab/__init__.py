@@ -3,99 +3,122 @@
 Constructions (digit products and sphere pair sets), exact and
 FFT-accelerated counting, branch-and-bound extremal search, and the
 Fourier-analytic density-increment machinery, all behind one CLI.
+
+The public names below are imported from their modules on first use
+(PEP 562), so `import skewlab` and a CLI subcommand load only the
+modules they need.
 """
 
-from .core import (
-    Ambient,
-    GridSet,
-    Witness,
-    dumps_skewset,
-    embed_torus,
-    grid,
-    load_skewset,
-    loads_skewset,
-    make_grid_set,
-    save_skewset,
-    torus,
-    translate,
-    transpose,
-)
-from .errors import (
-    CapabilityError,
-    ConsistencyError,
-    CoordinateError,
-    FalsificationError,
-    FormatError,
-    ParameterError,
-    PrecisionError,
-    SkewLabError,
-)
-from .verify import (
-    CornerCount,
-    count_corners,
-    count_skew_corners_fft,
-    count_skew_corners_naive,
-    find_skew_corner,
-    is_bi_skew_corner_free,
-    is_skew_corner_free,
-)
-from .construct import (
-    BaseSet,
-    GrowthRow,
-    SphereParams,
-    bi_sphere_construction,
-    freiman_embed,
-    growth_table,
-    product_construction,
-    sphere_construction,
-    sphere_family,
-    verify_free,
-)
-from .search import (
-    SearchResult,
-    STableRow,
-    find_base_set,
-    max_skew_corner_free,
-    s_table,
-)
-from .fourier import (
-    AnalysisConfig,
-    AnnihilationReport,
-    CharacterSet,
-    DichotomyReport,
-    FourierTable,
-    GvnReport,
-    ParsevalReport,
-    Progression,
-    TwoDFunction,
-    annihilating_progression,
-    annihilation_check,
-    balanced_function,
-    check_gvn,
-    column_marginal,
-    column_normalized,
-    dft,
-    dichotomy_report,
-    dirichlet,
-    lambda_form,
-    parseval_bound,
-    row_transforms,
-    set_lambda_form,
-    technical_select,
-    zeta_value,
-)
-from .increment import (
-    BlockIncrement,
-    IncrementOutcome,
-    PigeonholeResult,
-    ProductSetReport,
-    ProgressionIncrement,
-    horizontal_increment,
-    increment_step,
-    pigeonhole_square,
-    product_set_experiment,
-    vertical_l2_increment,
-    vertical_linfty_increment,
-)
+import importlib
 
+_EXPORTS = {
+    "core": (
+        "Ambient",
+        "GridSet",
+        "Witness",
+        "dumps_skewset",
+        "embed_torus",
+        "grid",
+        "load_skewset",
+        "loads_skewset",
+        "make_grid_set",
+        "save_skewset",
+        "torus",
+        "translate",
+        "transpose",
+    ),
+    "errors": (
+        "CapabilityError",
+        "ConsistencyError",
+        "CoordinateError",
+        "FalsificationError",
+        "FormatError",
+        "ParameterError",
+        "PrecisionError",
+        "SkewLabError",
+    ),
+    "verify": (
+        "CornerCount",
+        "count_corners",
+        "count_skew_corners_fft",
+        "count_skew_corners_naive",
+        "find_skew_corner",
+        "is_bi_skew_corner_free",
+        "is_skew_corner_free",
+    ),
+    "construct": (
+        "BaseSet",
+        "GrowthRow",
+        "SphereParams",
+        "bi_sphere_construction",
+        "freiman_embed",
+        "growth_table",
+        "product_construction",
+        "sphere_construction",
+        "sphere_family",
+        "verify_free",
+    ),
+    "search": (
+        "SearchResult",
+        "STableRow",
+        "find_base_set",
+        "max_skew_corner_free",
+        "s_table",
+    ),
+    "fourier": (
+        "AnalysisConfig",
+        "AnnihilationReport",
+        "CharacterSet",
+        "DichotomyReport",
+        "FourierTable",
+        "GvnReport",
+        "ParsevalReport",
+        "Progression",
+        "TwoDFunction",
+        "annihilating_progression",
+        "annihilation_check",
+        "balanced_function",
+        "check_gvn",
+        "column_marginal",
+        "column_normalized",
+        "dft",
+        "dichotomy_report",
+        "dirichlet",
+        "lambda_form",
+        "parseval_bound",
+        "row_transforms",
+        "set_lambda_form",
+        "technical_select",
+        "zeta_value",
+    ),
+    "increment": (
+        "BlockIncrement",
+        "IncrementOutcome",
+        "PigeonholeResult",
+        "ProductSetReport",
+        "ProgressionIncrement",
+        "horizontal_increment",
+        "increment_step",
+        "pigeonhole_square",
+        "product_set_experiment",
+        "vertical_l2_increment",
+        "vertical_linfty_increment",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,50 +11,17 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from . import __version__
-from .construct import (
-    EXHAUSTIVE,
-    SAMPLED,
-    SKIPPED,
-    VERIFY_PROBES,
-    BaseSet,
-    bi_sphere_construction,
-    fitted_c,
-    free_verification,
-    growth_table,
-    product_construction,
-    product_exponent,
-    product_verification,
-    sphere_construction,
-    verify_free,
-)
-from .core import (
-    Ambient,
-    embed_torus,
-    load_skewset,
-    save_skewset,
-    transpose,
-)
 from .errors import FalsificationError, ParameterError, SkewLabError
-from .fourier import (
-    AnalysisConfig,
-    Progression,
-    check_gvn,
-    dichotomy_report,
-    parseval_bound,
-    set_lambda_form,
-)
-from .increment import increment_step, product_set_experiment
-from .search import DEFAULT_BUDGET, find_base_set, max_skew_corner_free
-from .verify import (
-    count_skew_corners_fft,
-    count_skew_corners_naive,
-    find_skew_corner,
-)
+
+if TYPE_CHECKING:
+    from .fourier import Progression
+
+# Each handler imports the modules it runs, so a job loads no other.
 
 GROWTH_CSV_COLUMNS = ["n", "size", "density", "fitted_c", "m", "d", "r", "t"]
 
@@ -97,6 +64,9 @@ def _prog_dict(p: Optional[Progression]) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from .core import load_skewset, transpose
+    from .verify import find_skew_corner
+
     a = load_skewset(args.infile)
     w = find_skew_corner(a)
     report = {"free": w is None, "witness": w}
@@ -107,6 +77,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .core import load_skewset
+    from .verify import count_skew_corners_fft, count_skew_corners_naive
+
     a = load_skewset(args.infile)
     if args.method == "naive":
         c = count_skew_corners_naive(a)
@@ -126,6 +99,23 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construct import (
+        EXHAUSTIVE,
+        SAMPLED,
+        SKIPPED,
+        VERIFY_PROBES,
+        BaseSet,
+        bi_sphere_construction,
+        fitted_c,
+        free_verification,
+        product_construction,
+        product_exponent,
+        product_verification,
+        sphere_construction,
+        verify_free,
+    )
+    from .core import load_skewset, save_skewset
+
     if args.family == "sphere":
         build = bi_sphere_construction if args.bi else sphere_construction
         a, params = build(args.n)
@@ -152,6 +142,8 @@ def _cmd_construct(args) -> int:
             base_points = load_skewset(args.base)
             base = BaseSet(base_points.ambient.size, base_points)
         else:
+            from .search import find_base_set
+
             base = find_base_set(6)
         verify = True if args.force_verify else None
         a = product_construction(base, args.n, verify=verify)
@@ -189,6 +181,8 @@ def _parse_exps(spec: str) -> list[int]:
 
 
 def _cmd_growth(args) -> int:
+    from .construct import growth_table
+
     ns = [2**e for e in _parse_exps(args.exps)]
     rows = growth_table(ns, bi=args.bi)
     if args.format == "csv":
@@ -205,10 +199,13 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .core import Ambient, save_skewset
+    from .search import DEFAULT_BUDGET, max_skew_corner_free
+
     ambient = Ambient(args.ambient, args.size)
     res = max_skew_corner_free(
         ambient,
-        budget=args.budget,
+        budget=DEFAULT_BUDGET if args.budget is None else args.budget,
         mode="bi_skew" if args.bi else "skew",
         symmetry=not args.no_symmetry,
     )
@@ -221,6 +218,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .core import embed_torus, load_skewset
+    from .fourier import check_gvn, dichotomy_report, parseval_bound, set_lambda_form
+
     a = load_skewset(args.infile)
     if args.check == "gvn":
         g = check_gvn(a if a.ambient.kind == "torus" else embed_torus(a))
@@ -268,6 +268,10 @@ def _outcome_dict(out) -> dict:
 
 
 def _cmd_increment(args) -> int:
+    from .core import load_skewset, save_skewset
+    from .fourier import AnalysisConfig
+    from .increment import increment_step
+
     if args.iterations < 1:
         raise ParameterError(f"--iterations must be >= 1, got {args.iterations}")
     a = load_skewset(args.infile)
@@ -295,6 +299,8 @@ def _cmd_increment(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .increment import product_set_experiment
+
     rep = product_set_experiment(args.beta, args.N, args.trials, args.seed)
     _emit(dataclasses.asdict(rep), args.report)
     return 0
@@ -358,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", choices=["grid", "torus"], required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--bi", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, help="node budget (default: the "
+                   "search module's DEFAULT_BUDGET)")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--out", help="write the witness as a skewset file")
     add_report(p)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .core import MAX_POINTS, GridSet, _from_keys, grid, torus
 from .errors import CapabilityError, FalsificationError, ParameterError
-from .verify import find_skew_corner, lagged_table, pair_targets
+from .verify import find_skew_corner, lag_column, lag_pad, lagged_table, pair_targets
 
-# Row block size for the inner-product scan, in matrix entries.
-_SCAN_CHUNK = 4_000_000
+# Inner products per block of the sphere scan (1 MiB of float64), rounded
+# in place in one reused buffer.
+_SCAN_CHUNK = 1 << 17
 
 # Largest generating-function table `_sphere_params` allocates (32 MiB).
 MAX_SERIES_ENTRIES = 1 << 22
@@ -164,23 +165,26 @@ def _sphere_params(n: int, bi: bool) -> tuple[SphereParams, int]:
 
 
 def _sphere_pairs(
-    m: int, d: int, r: int, t: int, bi: bool
+    box: np.ndarray, r: int, t: int, bi: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs at (r, t) as two (k, d) arrays, in (x, y) lexicographic
-    order: the x on the sphere ||x||^2 = r scanned in blocks against the
-    box (or, if `bi`, against the same sphere)."""
-    box = _box_points(m, d)
+    """The pairs at (r, t) as two arrays of row indices into the `box`
+    points, in (x, y) lexicographic order: the x on the sphere ||x||^2 = r
+    scanned in blocks of _SCAN_CHUNK products against the box (or, if
+    `bi`, against the same sphere)."""
     rows = np.flatnonzero((box * box).sum(axis=1) == r)
     cols = rows if bi else np.arange(len(box))
     xf = box.astype(np.float64)
+    yt = xf[cols].T
     block = max(1, _SCAN_CHUNK // max(1, len(cols)))
+    buf = np.empty((min(block, len(rows)), len(cols)))
     out_i, out_j = [rows[:0]], [cols[:0]]
     for s in range(0, len(rows), block):
         chunk = rows[s : s + block]
-        ii, jj = np.nonzero(np.rint(xf[chunk] @ xf[cols].T) == t)
+        dots = np.matmul(xf[chunk], yt, out=buf[: len(chunk)])
+        ii, jj = np.nonzero(np.rint(dots, out=dots) == t)
         out_i.append(chunk[ii])
         out_j.append(cols[jj])
-    return box[np.concatenate(out_i)], box[np.concatenate(out_j)]
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def sphere_family(
@@ -194,8 +198,9 @@ def sphere_family(
         raise ParameterError("need m >= 1 and d >= 1")
     if not (1 <= r <= d * m * m and 1 <= t <= d * m * m):
         raise ParameterError(f"(r, t) = ({r}, {t}) outside [1, {d * m * m}]^2")
-    xs, ys = _sphere_pairs(m, d, r, t, bi)
-    return [(tuple(x), tuple(y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    box = _box_points(m, d)
+    xs, ys = (box[v].tolist() for v in _sphere_pairs(box, r, t, bi))
+    return [(tuple(x), tuple(y)) for x, y in zip(xs, ys)]
 
 
 def _choose_dimensions(n: int) -> tuple[int, int]:
@@ -242,9 +247,10 @@ def _sphere_set(n: int, bi: bool) -> tuple[GridSet, SphereParams]:
         raise ParameterError(
             f"sphere set would have {count} points; refusing to materialize"
         )
-    m = params.m
-    xs, ys = _sphere_pairs(m, params.d, params.r, params.t, bi)
-    out = GridSet.from_arrays(_embed_many(xs, m), _embed_many(ys, m), grid(n))
+    box = _box_points(params.m, params.d)
+    ii, jj = _sphere_pairs(box, params.r, params.t, bi)
+    phi = _embed_many(box, params.m)  # one key per box point
+    out = GridSet.from_arrays(phi[ii], phi[jj], grid(n))
     if len(out) != count:
         raise FalsificationError(
             "digit embedding collapsed sphere pairs; phi not injective"
@@ -288,11 +294,15 @@ def product_construction(
             f"product set would have {s}^{k} points; refusing to materialize"
         )
     # the keys (x - 1) * n + (y - 1) of the set, one digit per step, newest
-    # digit fastest: memory stays O(s^k), and x, y <= b^k <= n by design
+    # digit fastest: memory stays O(s^k), and x, y <= b^k <= n by design.
+    # Each round writes a fresh 1-D array, which owns its data and so
+    # becomes the set's ys without a copy.
     step = digits[:, 0] * n + digits[:, 1]
     key = np.zeros(1, dtype=np.int64)
     for j in range(k):
-        key = (key[:, None] + b**j * step[None, :]).ravel()
+        nxt = np.empty(key.size * s, dtype=np.int64)
+        np.add(key[:, None], b**j * step, out=nxt.reshape(key.size, s))
+        key = nxt
     out = _from_keys(grid(n), key)
     if len(out) != len(base) ** k:
         raise FalsificationError("digit tuples collided; product size wrong")
@@ -307,7 +317,7 @@ def free_verification(a: GridSet) -> str:
     """How `verify_free` checks `a`: exhaustively when the column-pair work
     sum_x |A_x|^2 is at most VERIFY_EXHAUSTIVE_MAX, otherwise by sampling."""
     sizes = a.column_sizes()
-    work = int((sizes * sizes).sum())
+    work = int(sizes @ sizes)
     return EXHAUSTIVE if work <= VERIFY_EXHAUSTIVE_MAX else SAMPLED
 
 
@@ -339,15 +349,15 @@ def verify_free(a: GridSet, probes: int = VERIFY_PROBES, seed: int = 0) -> bool:
             return None
         return rng.integers(0, k, size=reps[i]), rng.integers(0, k, size=reps[i])
 
-    size, lo = a.ambient.size, a.ambient.lo
-    occ = lagged_table(a, sizes > 0)
+    pad = lag_pad(a.ambient)
+    occ = lagged_table(a, bool)
     for i, _, _, t in pair_targets(a, draw):
-        hit = occ[t] & (t != i + size - 1)
+        hit = occ.take(t, mode="clip") & (t != i + pad)
         if hit.any():
-            x_prime = lagged_table(a, np.arange(lo, lo + size))[t[hit][0]]
+            x_prime = lag_column(a.ambient, int(t[hit][0]))
             raise FalsificationError(
                 f"construction contains a skew corner through columns "
-                f"{i + lo} and {x_prime}"
+                f"{i + a.ambient.lo} and {x_prime}"
             )
     return True
 

@@ -132,7 +132,7 @@ class GridSet:
     def nonempty_columns(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, ys) for every nonempty column x = i + lo, in increasing x;
         `ys` is the column's read-only sorted y-values."""
-        for i in np.flatnonzero(np.diff(self.offsets)).tolist():
+        for i in np.flatnonzero(self.offsets[1:] != self.offsets[:-1]).tolist():
             yield i, self._slice(i)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +145,12 @@ class GridSet:
         xs, ys = self.coordinates()
         return zip(xs.tolist(), ys.tolist())
 
-    def column_sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
+    def column_sizes(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Points per column, in order; written into `out` when given, cast
+        to its dtype, so a bool `out` marks the nonempty columns."""
+        return np.subtract(
+            self.offsets[1:], self.offsets[:-1], out=out, casting="unsafe"
+        )
 
     @property
     def density(self) -> float:
@@ -331,8 +335,8 @@ _GROWTH = 4
 MAX_POINTS = 50_000_000
 
 
-# points per block of the writer: about 3 MiB of scratch at six-digit coordinates
-_WRITE_CHUNK = 1 << 16
+# points per block of the writer: under 1 MiB of scratch at six-digit coordinates
+_WRITE_CHUNK = 1 << 14
 
 
 def _put_digits(out: np.ndarray, v: np.ndarray) -> None:

@@ -247,7 +247,7 @@ def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
     freqs = np.arange(N // 2 + 1)
     angle = 2 * np.pi / N * np.arange(N)
     cos, sin = np.cos(angle), np.sin(angle)
-    table = lagged_table(t, sizes.astype(np.float64))
+    table = lagged_table(t, np.float64)
     total = 0
     re = np.zeros(freqs.size)  # sum_x P_x(a) e(-ax/N) = re - i im
     im = np.zeros(freqs.size)

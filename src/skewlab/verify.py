@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import GRID, TORUS, GridSet, Witness, embed_torus, transpose
+from .core import GRID, TORUS, Ambient, GridSet, Witness, embed_torus, transpose
 from .errors import CapabilityError, ParameterError, PrecisionError
 
 # Autocorrelation entries are integers <= N, so nearest-integer rounding of
@@ -67,16 +67,32 @@ class CornerCount:
 _PAIR_BLOCK = 1 << 16
 
 
-def lagged_table(a: GridSet, per_column: np.ndarray) -> np.ndarray:
-    """Lay a per-column array out over every column index i + d with
-    |d| < size: entry i + d + size - 1 holds the value at column i + d,
-    wrapped on a torus and 0 off a grid, so the table has 3 size - 2
-    entries.  This is the one place a column plus a difference is mapped
-    to a column."""
+def lag_pad(ambient: Ambient) -> int:
+    """Where column index 0 sits in a `lagged_table`: size - 1 on a torus,
+    1 on a grid."""
+    return ambient.size - 1 if ambient.kind == TORUS else 1
+
+
+def lagged_table(a: GridSet, dtype=np.int64) -> np.ndarray:
+    """Lay the column sizes, as `dtype` (bool marks the nonempty columns),
+    out over every column index i + d with |d| < size: entry
+    i + d + `lag_pad` holds the value at column i + d.  A torus table
+    wraps and has 3 size - 2 entries.  A grid table has one zero on each
+    side, size + 2 entries, and is read with `take(t, mode="clip")`, which
+    sends every off-grid column to a zero.  This and `lag_column` are the
+    one place a column plus a difference is mapped to a column."""
+    size, pad = a.ambient.size, lag_pad(a.ambient)
+    table = np.zeros(size + 2 * pad, dtype=dtype)
+    mid = a.column_sizes(out=table[pad : pad + size])
     if a.ambient.kind == TORUS:
-        return np.concatenate((per_column[1:], per_column, per_column[:-1]))
-    pad = np.zeros(a.ambient.size - 1, dtype=per_column.dtype)
-    return np.concatenate((pad, per_column, pad))
+        table[:pad] = mid[1:]
+        table[pad + size :] = mid[:-1]
+    return table
+
+
+def lag_column(ambient: Ambient, t: int) -> int:
+    """The column x of `lagged_table` entry t (an on-grid one on a grid)."""
+    return (t - lag_pad(ambient)) % ambient.size + ambient.lo
 
 
 PairDraw = Callable[[int, int], Optional[tuple[np.ndarray, np.ndarray]]]
@@ -89,21 +105,22 @@ def pair_targets(
 
     Walks the columns x = i + lo holding at least two points (a lone point
     has only the trivial pair d = 0) and yields (i, ys, j0, t), where t
-    indexes a `lagged_table`: t = i + d + size - 1 for d = ys[j2] - ys[j1].
+    indexes a `lagged_table`: t = i + d + pad for d = ys[j2] - ys[j1] and
+    pad = `lag_pad`.
     Over all position pairs, t covers the rows j1 = j0, j0 + 1, ... of the
     k x k difference array in blocks of at most _PAIR_BLOCK entries (row r
     of t is j1 = j0 + r).  With `draw`, t covers the pairs (j1, j2) that
     `draw(i, k)` returns as one flat block with j0 = 0, and the column is
-    skipped when it returns None.  d = 0 exactly where t == i + size - 1.
+    skipped when it returns None.  d = 0 exactly where t == i + pad.
     Without `draw`, every t is a view of one buffer, which the next block
     overwrites.
     """
-    size = a.ambient.size
+    pad = lag_pad(a.ambient)
     buf = np.empty(0, dtype=np.int64)
     for i, ys in a.nonempty_columns():
         if ys.size < 2:
             continue
-        at = ys + (i + size - 1)
+        at = ys + (i + pad)
         if draw is not None:
             pairs = draw(i, ys.size)
             if pairs is not None:
@@ -124,18 +141,18 @@ def find_skew_corner(a: GridSet) -> Optional[Witness]:
     is checked against the occupancy of column x+d.  The witness is the
     first hit in (column, j1, j2) order.
     """
-    size, lo = a.ambient.size, a.ambient.lo
-    occ = lagged_table(a, a.column_sizes() > 0)
+    pad = lag_pad(a.ambient)
+    occ = lagged_table(a, bool)
     for i, ys, j0, t in pair_targets(a):
-        hit = occ[t] & (t != i + size - 1)
+        hit = occ.take(t, mode="clip") & (t != i + pad)
         if hit.any():
             j1, j2 = np.unravel_index(int(np.argmax(hit)), hit.shape)
-            x_prime = lagged_table(a, np.arange(lo, lo + size))[t[j1, j2]]
+            target = int(t[j1, j2])
             return Witness(
-                x=i + lo,
+                x=i + a.ambient.lo,
                 y=int(ys[j0 + j1]),
-                y_prime=a.column(int(x_prime))[0],
-                d=int(t[j1, j2]) - (i + size - 1),
+                y_prime=a.column(lag_column(a.ambient, target))[0],
+                d=target - (i + pad),
             )
     return None
 
@@ -155,17 +172,17 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     O(sum_x |A_x|^2 + size^2) time and O(size) memory beyond the set, since
     the pairs come in blocks; 64-bit integer arithmetic throughout.
     """
-    sizes = a.column_sizes()
+    table = lagged_table(a)
+    pad = lag_pad(a.ambient)
+    sizes = table[pad : pad + a.ambient.size]  # a view, not a copy
     trivial = int(sizes @ sizes)
     lone = int(np.count_nonzero(sizes == 1))
-    table = lagged_table(a, sizes)
-    del sizes  # the table holds them; in a wide grid both are large
     looked_up = np.empty(0, dtype=np.int64)  # table[t], reused like t
     pairs = 0
     for _, _, _, t in pair_targets(a):
         if looked_up.size < t.size:
             looked_up = np.empty(t.size, dtype=np.int64)
-        # every t is in range; "clip" writes into `out` without a buffer
+        # "clip" reads the grid's zero pads and writes into `out` unbuffered
         pairs += int(table.take(t.ravel(), out=looked_up[: t.size], mode="clip").sum())
     # the pairs include each column's k trivial pairs d = 0, which meet its
     # own k points, except in the `lone` skipped columns of one point
@@ -198,8 +215,8 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
     sizes = t.column_sizes()
-    trivial = int((sizes * sizes).sum())
-    table = lagged_table(t, sizes.astype(np.float64))
+    trivial = int(sizes @ sizes)
+    table = lagged_table(t, np.float64)
     total = sum(autocorrelation_total(table, *block) for block in column_power(t))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -363,7 +365,7 @@ def test_exit_code_3_on_falsification(capsys, eight_file, monkeypatch):
     def blow_up(*args, **kwargs):
         raise sl.FalsificationError("synthetic falsification for exit-code test")
 
-    monkeypatch.setattr(cli, "check_gvn", blow_up)
+    monkeypatch.setattr("skewlab.fourier.check_gvn", blow_up)
     code, _, err = run_cli(capsys, "diagnose", "--in", eight_file, "--check", "gvn")
     assert code == 3
     assert "falsification" in err
@@ -413,3 +415,33 @@ def test_construct_reports_how_it_verified(capsys, monkeypatch):
         assert code == 0 and rep["verified"] is True
         assert rep["verification"] == "sampled"
         assert rep["probes"] == 10**6 and rep["seed"] == seed
+
+
+def test_naive_count_imports_only_what_it_runs(eight_file):
+    """`python -m skewlab.cli count --method naive` loads neither the
+    spectral, the increment nor the search module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "skewlab.cli",
+         "count", "--method", "naive", "--in", eight_file],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] > 0
+    # each -X importtime line ends in "| <module name>"
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"skewlab.core", "skewlab.verify"} <= loaded
+    assert not loaded & {"skewlab.fourier", "skewlab.increment", "skewlab.search"}
+
+
+def test_every_public_name_resolves():
+    """The package imports its modules lazily; each name in `__all__`
+    still resolves to the object of its module, and `dir` lists it."""
+    import importlib
+
+    for name in sl.__all__:
+        mod = importlib.import_module(f"skewlab.{sl._MODULE_OF[name]}")
+        assert getattr(sl, name) is getattr(mod, name)
+    assert set(sl.__all__) <= set(dir(sl))
+    with pytest.raises(AttributeError):
+        sl.no_such_name

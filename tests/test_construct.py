@@ -247,3 +247,42 @@ def test_product_construction_builds_one_digit_at_a_time():
     assert len(a) == 9**6
     # one int64 key per point and the column split of the sorted keys
     assert peak.bytes <= 20 * 2**20
+
+
+def _set_bytes(a: sl.GridSet) -> int:
+    return a.offsets.nbytes + a.ys.nbytes
+
+
+def test_product_construction_memory_is_the_set_plus_one_mib():
+    base = sl.find_base_set(6)
+    with peak_memory() as peak:
+        a = sl.product_construction(base, 6**6)
+    # the keys are written straight into an array that becomes the set's ys
+    assert peak.bytes <= _set_bytes(a) + 2**20
+
+
+def test_sphere_construction_memory_is_the_set_plus_four_mib():
+    with peak_memory() as peak:
+        a, _ = sl.sphere_construction(2**18)
+    assert len(a) == 41_760
+    assert peak.bytes <= _set_bytes(a) + 4 * 2**20
+
+
+@pytest.mark.parametrize("bi", [False, True])
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_sphere_family_matches_the_box_enumeration(m, d, bi):
+    """Every (r, t) gives the pairs of the definition, in (x, y)
+    lexicographic order."""
+    box = list(itertools.product(range(1, m + 1), repeat=d))
+    norm = {x: sum(v * v for v in x) for x in box}
+    top = d * m * m
+    for r in range(1, top + 1):
+        for t in range(1, top + 1):
+            want = [
+                (x, y)
+                for x in box
+                if norm[x] == r
+                for y in box
+                if (not bi or norm[y] == r) and sum(map(int.__mul__, x, y)) == t
+            ]
+            assert sl.sphere_family(m, d, r, t, bi=bi) == want, (r, t)

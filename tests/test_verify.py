@@ -235,3 +235,31 @@ def test_pair_kernel_memory_is_flat_in_the_column_height():
     with peak_memory() as find_peak:
         assert sl.find_skew_corner(a) is None
     assert count_peak.bytes < 8 * 2**20 and find_peak.bytes < 8 * 2**20
+
+
+def test_wide_grid_kernels_hold_no_three_n_table():
+    """On a sparse set in a grid of side 2^18, most pair differences point
+    off the grid, and the lagged tables are n + 2 entries long: the count's
+    int64 table stays under 3n * 8 bytes and find's bool occupancy under
+    3n bytes, with everything else they allocate included."""
+    n = 1 << 18
+    rng = np.random.default_rng(5)
+    xs = np.repeat(rng.integers(1, n + 1, 2000), 3)
+    a = sl.GridSet.from_arrays(xs, rng.integers(1, n + 1, xs.size), sl.grid(n))
+    cols = {x: a.column(x) for x in np.unique(xs).tolist()}
+    trivial = sum(len(c) ** 2 for c in cols.values())
+    first, total = None, 0
+    for x, col in cols.items():
+        for y1, y2 in itertools.product(col, col):
+            x3 = x + y2 - y1
+            total += len(cols.get(x3, ()))
+            if first is None and x3 != x and x3 in cols:
+                first = sl.Witness(x=x, y=y1, y_prime=cols[x3][0], d=y2 - y1)
+    with peak_memory() as count_peak:
+        count = sl.count_skew_corners_naive(a)
+    with peak_memory() as find_peak:
+        witness = sl.find_skew_corner(a)
+    assert count == sl.CornerCount(trivial, total - trivial)
+    assert witness == first
+    assert count_peak.bytes < 3 * n * 8
+    assert find_peak.bytes < 3 * n
