@@ -70,18 +70,13 @@ _EXPORTS = {
         "AnnihilationReport",
         "CharacterSet",
         "DichotomyReport",
-        "FourierTable",
         "GvnReport",
         "ParsevalReport",
         "Progression",
         "TwoDFunction",
         "annihilating_progression",
         "annihilation_check",
-        "balanced_function",
         "check_gvn",
-        "column_marginal",
-        "column_normalized",
-        "dft",
         "dichotomy_report",
         "dirichlet",
         "lambda_form",

@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("increment", help="density increment step(s)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
-        "--mode", choices=["guaranteed", "best-effort", "best_effort"],
+        "--mode", choices=["guaranteed", "best-effort"],
         default="best-effort",
     )
     p.add_argument("--C", type=float, default=64.0)

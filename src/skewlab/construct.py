@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import MAX_POINTS, GridSet, _from_keys, grid, torus
 from .errors import CapabilityError, FalsificationError, ParameterError
-from .verify import find_skew_corner, lag_column, lag_pad, lagged_table, pair_targets
+from .verify import find_skew_corner, sample_skew_corner
 
 # Inner products per block of the sphere scan (1 MiB of float64), rounded
 # in place in one reused buffer.
@@ -335,30 +335,11 @@ def verify_free(a: GridSet, probes: int = VERIFY_PROBES, seed: int = 0) -> bool:
         if w is not None:
             raise FalsificationError(f"construction contains a skew corner: {w}")
         return True
-    sizes = a.column_sizes()
-    rich = np.flatnonzero(sizes >= 2)
-    if rich.size == 0:
-        return True
-    rng = np.random.default_rng(seed)
-    weights = sizes[rich] ** 2
-    pick = rng.choice(rich, size=probes, p=weights / weights.sum())
-    reps = dict(zip(*(v.tolist() for v in np.unique(pick, return_counts=True))))
-
-    def draw(i: int, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        if i not in reps:
-            return None
-        return rng.integers(0, k, size=reps[i]), rng.integers(0, k, size=reps[i])
-
-    pad = lag_pad(a.ambient)
-    occ = lagged_table(a, bool)
-    for i, _, _, t in pair_targets(a, draw):
-        hit = occ.take(t, mode="clip") & (t != i + pad)
-        if hit.any():
-            x_prime = lag_column(a.ambient, int(t[hit][0]))
-            raise FalsificationError(
-                f"construction contains a skew corner through columns "
-                f"{i + a.ambient.lo} and {x_prime}"
-            )
+    hit = sample_skew_corner(a, probes, seed)
+    if hit is not None:
+        raise FalsificationError(
+            f"construction contains a skew corner through columns {hit[0]} and {hit[1]}"
+        )
     return True
 
 

@@ -26,7 +26,6 @@ from .verify import (
     column_power,
     count_skew_corners_fft,
     find_skew_corner,
-    lagged_table,
 )
 
 DEFAULT_TOL = 1e-9
@@ -53,21 +52,6 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class FourierTable:
-    """Fourier coefficients of a function on Z/NZ, indexed by frequency."""
-
-    modulus: int
-    coeffs: np.ndarray
-
-    def inverse(self) -> np.ndarray:
-        """Reconstruct the original values (inversion formula)."""
-        return np.fft.ifft(self.coeffs * self.modulus)
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
-
-@dataclass(frozen=True)
 class TwoDFunction:
     """A real-valued function on the torus (Z/NZ)^2, stored as an N x N array
     with first index x (column) and second index y."""
@@ -78,10 +62,6 @@ class TwoDFunction:
     def __post_init__(self) -> None:
         if self.values.shape != (self.modulus, self.modulus):
             raise ParameterError("values must be an N x N array")
-
-    @staticmethod
-    def constant(modulus: int, value: float = 1.0) -> "TwoDFunction":
-        return TwoDFunction(modulus, np.full((modulus, modulus), float(value)))
 
     @staticmethod
     def indicator(a: GridSet) -> "TwoDFunction":
@@ -146,45 +126,10 @@ class Progression:
         return np.where((r == 0) & (q >= 0) & (q < self.length), q + 1, 0)
 
 
-def dft(f: Sequence[float] | np.ndarray) -> FourierTable:
-    """Average-normalized transform: fhat(a) = E_x f(x) e(-ax/N)."""
-    arr = np.asarray(f)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("dft expects a nonempty 1-d array")
-    return FourierTable(arr.size, np.fft.fft(arr) / arr.size)
-
-
 def row_transforms(f: TwoDFunction) -> np.ndarray:
     """Row-wise transforms: entry [x, a] holds the coefficient of f(x, .) at
     frequency a."""
     return np.fft.fft(f.values, axis=1) / f.modulus
-
-
-def column_marginal(f: TwoDFunction) -> np.ndarray:
-    """Column averages: x -> E_y f(x, y)."""
-    return f.values.mean(axis=1)
-
-
-def column_normalized(f: TwoDFunction) -> TwoDFunction:
-    """Scale each column slice to unit L1 average; empty columns stay zero."""
-    norms = np.abs(f.values).mean(axis=1)
-    out = np.zeros_like(f.values)
-    nz = norms > 0
-    out[nz] = f.values[nz] / norms[nz, None]
-    return TwoDFunction(f.modulus, out)
-
-
-def balanced_function(a: GridSet) -> TwoDFunction:
-    """Mean-zero correction of the indicator.
-
-    Grid sets in [n]^2 are viewed on the torus of side N = 2n and corrected
-    by their density alpha = |A|/n^2 on the [n]^2 block; torus sets are
-    corrected by alpha = |A|/N^2 everywhere.
-    """
-    n, lo = a.ambient.size, a.ambient.lo
-    f = TwoDFunction.indicator(a)
-    f.values[lo : lo + n, lo : lo + n] -= len(a) / n**2
-    return f
 
 
 def lambda_form(
@@ -204,7 +149,7 @@ def lambda_form(
     if not f.modulus == g.modulus == h.modulus:
         raise ParameterError("lambda_form needs equal moduli")
     N = f.modulus
-    sh = column_marginal(h)
+    sh = h.values.mean(axis=1)  # the column marginal x -> E_y h(x, y)
     direct = 0.0
     for d in range(N):
         row_corr = (f.values * np.roll(g.values, -d, axis=1)).sum(axis=1)
@@ -242,17 +187,16 @@ def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
     `tol`, as in `lambda_form`.  Returns the spectral value and the integer.
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
-    sizes = t.column_sizes()
-    N = sizes.size
+    N = t.ambient.size
+    sizes = t.column_sizes(out=np.empty(N))
     freqs = np.arange(N // 2 + 1)
     angle = 2 * np.pi / N * np.arange(N)
     cos, sin = np.cos(angle), np.sin(angle)
-    table = lagged_table(t, np.float64)
     total = 0
     re = np.zeros(freqs.size)  # sum_x P_x(a) e(-ax/N) = re - i im
     im = np.zeros(freqs.size)
     for cols, power in column_power(t):
-        total += autocorrelation_total(table, cols, power)
+        total += autocorrelation_total(sizes, cols, power)
         at = np.multiply.outer(cols, freqs)
         at %= N
         re += np.einsum("xa,xa->a", power, cos[at])
@@ -314,11 +258,12 @@ def check_gvn(a: GridSet, tol: float = DEFAULT_TOL) -> GvnReport:
 
 def marginal_spectrum(a: GridSet) -> np.ndarray:
     """|coefficients| of the column marginal x -> E_y f_A(x, y) of the
-    balanced function f_A (see `balanced_function`), on the torus of a
-    torus set or of an embedded grid set.
+    balanced function f_A, on the torus of a torus set or of an embedded
+    grid set.  f_A is the indicator minus the density alpha = |A|/n^2 on
+    the set's own [n]^2 block, so coefficient 0 vanishes.
 
     The marginal is |A_x|/N minus the correction alpha n/N on the n columns
-    of the set's own ambient, so it comes from the column sizes alone.
+    of that block, so it comes from the column sizes alone.
     """
     n = a.ambient.size
     t = embed_torus(a) if a.ambient.kind == GRID else a
@@ -332,7 +277,7 @@ def cross_spectrum(a: GridSet) -> np.ndarray:
     """Per-frequency averages E_x |row-hat| |normalized-row-hat| over the
     columns x of a torus set or an embedded grid set, row-hat being the
     transform of 1_A(x, .) (see `row_transforms`) and the normalized row
-    scaled to unit L1 average (see `column_normalized`).
+    scaled to unit L1 average (empty rows stay zero).
 
     That scaling divides a row by its mass |A_x|/N, so each product is
     |row-hat|^2 N/|A_x|: one power spectrum per nonempty column (see
@@ -358,21 +303,30 @@ class DichotomyReport:
     mass_threshold: float
 
 
+def _require_free_grid(a: GridSet, who: str) -> None:
+    """Refuse, in this order, a set outside a grid, a grid whose embedded
+    torus side 2n passes the FFT cap, and a set with a skew corner: the
+    two cheap checks run before the scan of every column pair."""
+    if a.ambient.kind != GRID:
+        raise ParameterError(f"{who} expects a grid-ambient set")
+    check_fft_side(2 * a.ambient.size)
+    w = find_skew_corner(a)
+    if w is not None:
+        raise ParameterError(f"{who} needs a skew-corner-free input: {w}")
+
+
 def dichotomy_report(a: GridSet, tol: float = DEFAULT_TOL) -> DichotomyReport:
     """For a skew-corner-free grid set: either the density is at most 8/n, or
     the weighted nontrivial spectral mass reaches alpha^2/64."""
+    _require_free_grid(a, "dichotomy_report")
     return _dichotomy(a, tol)[0]
 
 
 def _dichotomy(
     a: GridSet, tol: float
 ) -> tuple[DichotomyReport, np.ndarray, np.ndarray]:
-    """`dichotomy_report` together with the marginal and cross spectra it
-    was computed from."""
-    if find_skew_corner(a) is not None:
-        raise ParameterError("dichotomy_report needs a skew-corner-free input")
-    if a.ambient.kind != GRID:
-        raise ParameterError("expected a grid-ambient set")
+    """`dichotomy_report` of a set that passed `_require_free_grid`,
+    together with the marginal and cross spectra it was computed from."""
     n = a.ambient.size
     alpha = len(a) / n**2
     spectrum = marginal_spectrum(a)

@@ -30,16 +30,14 @@ from .fourier import (
     Progression,
     _dichotomy,
     _dirichlet_progression,
+    _require_free_grid,
     annihilating_progression,
     cross_spectrum,
     dirichlet,
     marginal_spectrum,
     technical_select,
 )
-from .verify import (
-    check_fft_side,
-    find_skew_corner,
-)
+from .verify import find_skew_corner
 
 SMALL_DENSITY = "small_density"
 ROW_PROGRESSION = "row_progression"
@@ -117,15 +115,6 @@ class ProgressionIncrement:
     @property
     def density(self) -> float:
         return self.extracted_count / self.band_area if self.band_area else 0.0
-
-
-def _require_free_grid(a: GridSet) -> None:
-    if a.ambient.kind != GRID:
-        raise ParameterError("increment machinery expects a grid-ambient set")
-    check_fft_side(2 * a.ambient.size)
-    w = find_skew_corner(a)
-    if w is not None:
-        raise ParameterError(f"input is not skew-corner-free: {w}")
 
 
 def _check_extraction_free(a: GridSet, extracted: GridSet) -> None:
@@ -513,7 +502,7 @@ def increment_step(
     density (ties to the larger subsquare).  Every extracted set passes the
     freeness oracle.
     """
-    _require_free_grid(a)
+    _require_free_grid(a, "increment machinery")
     if mode not in (GUARANTEED, BEST_EFFORT):
         raise ParameterError(f"unknown mode {mode!r}")
     n = a.ambient.size

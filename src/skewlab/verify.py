@@ -9,7 +9,7 @@ indicator; on a grid all arithmetic stays in Z (no wraparound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -67,65 +67,57 @@ class CornerCount:
 _PAIR_BLOCK = 1 << 16
 
 
-def lag_pad(ambient: Ambient) -> int:
-    """Where column index 0 sits in a `lagged_table`: size - 1 on a torus,
-    1 on a grid."""
-    return ambient.size - 1 if ambient.kind == TORUS else 1
+def _lag_pad(ambient: Ambient) -> int:
+    """Where column index 0 sits in a `_lagged_table`: 0 on a torus, 1 on
+    a grid."""
+    return 0 if ambient.kind == TORUS else 1
 
 
-def lagged_table(a: GridSet, dtype=np.int64) -> np.ndarray:
-    """Lay the column sizes, as `dtype` (bool marks the nonempty columns),
-    out over every column index i + d with |d| < size: entry
-    i + d + `lag_pad` holds the value at column i + d.  A torus table
-    wraps and has 3 size - 2 entries.  A grid table has one zero on each
-    side, size + 2 entries, and is read with `take(t, mode="clip")`, which
-    sends every off-grid column to a zero.  This and `lag_column` are the
-    one place a column plus a difference is mapped to a column."""
-    size, pad = a.ambient.size, lag_pad(a.ambient)
+def _lagged_table(a: GridSet, dtype=np.int64) -> np.ndarray:
+    """The column sizes as `dtype` (bool marks the nonempty columns), read
+    at column i + d through `_lookup(a.ambient, table, i + d + _lag_pad)`
+    for any |d| < size.  A torus table holds the N sizes and the lookup
+    wraps.  A grid table has one zero on each side, size + 2 entries, and
+    the lookup clips, which sends every off-grid column to a zero.  This,
+    `_lookup` and `_lag_column` are the one place a column plus a
+    difference is mapped to a column."""
+    size, pad = a.ambient.size, _lag_pad(a.ambient)
     table = np.zeros(size + 2 * pad, dtype=dtype)
-    mid = a.column_sizes(out=table[pad : pad + size])
-    if a.ambient.kind == TORUS:
-        table[:pad] = mid[1:]
-        table[pad + size :] = mid[:-1]
+    a.column_sizes(out=table[pad : pad + size])
     return table
 
 
-def lag_column(ambient: Ambient, t: int) -> int:
-    """The column x of `lagged_table` entry t (an on-grid one on a grid)."""
-    return (t - lag_pad(ambient)) % ambient.size + ambient.lo
+def _lookup(
+    ambient: Ambient, table: np.ndarray, t: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """`table[t]` for a `_lagged_table`; "wrap" and "clip" write into `out`
+    unbuffered."""
+    return table.take(t, out=out, mode="wrap" if ambient.kind == TORUS else "clip")
 
 
-PairDraw = Callable[[int, int], Optional[tuple[np.ndarray, np.ndarray]]]
+def _lag_column(ambient: Ambient, t: int) -> int:
+    """The column x read at lookup index t (an on-grid one on a grid)."""
+    return (t - _lag_pad(ambient)) % ambient.size + ambient.lo
 
 
-def pair_targets(
-    a: GridSet, draw: Optional[PairDraw] = None
-) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
+def pair_targets(a: GridSet) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Map the pair differences of each column to the column they point at.
 
     Walks the columns x = i + lo holding at least two points (a lone point
     has only the trivial pair d = 0) and yields (i, ys, j0, t), where t
-    indexes a `lagged_table`: t = i + d + pad for d = ys[j2] - ys[j1] and
-    pad = `lag_pad`.
-    Over all position pairs, t covers the rows j1 = j0, j0 + 1, ... of the
-    k x k difference array in blocks of at most _PAIR_BLOCK entries (row r
-    of t is j1 = j0 + r).  With `draw`, t covers the pairs (j1, j2) that
-    `draw(i, k)` returns as one flat block with j0 = 0, and the column is
-    skipped when it returns None.  d = 0 exactly where t == i + pad.
-    Without `draw`, every t is a view of one buffer, which the next block
+    holds the `_lookup` indices t = i + d + `_lag_pad` for
+    d = ys[j2] - ys[j1].  Over all position pairs, t covers the rows
+    j1 = j0, j0 + 1, ... of the k x k difference array in blocks of at most
+    _PAIR_BLOCK entries (row r of t is j1 = j0 + r); d = 0 exactly where
+    t == i + pad.  Every t is a view of one buffer, which the next block
     overwrites.
     """
-    pad = lag_pad(a.ambient)
+    pad = _lag_pad(a.ambient)
     buf = np.empty(0, dtype=np.int64)
     for i, ys in a.nonempty_columns():
         if ys.size < 2:
             continue
         at = ys + (i + pad)
-        if draw is not None:
-            pairs = draw(i, ys.size)
-            if pairs is not None:
-                yield i, ys, 0, at[pairs[1]] - ys[pairs[0]]
-            continue
         rows = min(ys.size, max(1, _PAIR_BLOCK // ys.size))
         if buf.size < rows * ys.size:
             buf = np.empty(rows * ys.size, dtype=np.int64)
@@ -141,19 +133,56 @@ def find_skew_corner(a: GridSet) -> Optional[Witness]:
     is checked against the occupancy of column x+d.  The witness is the
     first hit in (column, j1, j2) order.
     """
-    pad = lag_pad(a.ambient)
-    occ = lagged_table(a, bool)
+    pad = _lag_pad(a.ambient)
+    occ = _lagged_table(a, bool)
     for i, ys, j0, t in pair_targets(a):
-        hit = occ.take(t, mode="clip") & (t != i + pad)
+        hit = _lookup(a.ambient, occ, t) & (t != i + pad)
         if hit.any():
             j1, j2 = np.unravel_index(int(np.argmax(hit)), hit.shape)
             target = int(t[j1, j2])
             return Witness(
                 x=i + a.ambient.lo,
                 y=int(ys[j0 + j1]),
-                y_prime=a.column(lag_column(a.ambient, target))[0],
+                y_prime=a.column(_lag_column(a.ambient, target))[0],
                 d=target - (i + pad),
             )
+    return None
+
+
+def sample_skew_corner(a: GridSet, probes: int, seed: int = 0) -> Optional[tuple[int, int]]:
+    """Probe `probes` random position pairs (j1, j2), each column x drawn
+    with weight |A_x|^2, so that every pair of the set is equally likely.
+    Returns the columns (x, x + d) of the first skew corner hit, or None.
+
+    The per-column probe counts come from one multinomial draw over the
+    columns of two or more points, and each column's pairs are drawn at
+    most _PAIR_BLOCK at a time, so memory beyond the set stays a few MiB
+    however many probes are asked for.
+    """
+    sizes = a.column_sizes()
+    rich = np.flatnonzero(sizes >= 2)
+    weights = sizes[rich].astype(np.float64) ** 2
+    del sizes
+    if rich.size == 0:
+        return None
+    rng = np.random.default_rng(seed)
+    reps = rng.multinomial(probes, weights / weights.sum())
+    drawn = iter(zip(rich[reps > 0].tolist(), reps[reps > 0].tolist()))
+    next_i, r = next(drawn, (None, 0))
+    pad = _lag_pad(a.ambient)
+    occ = _lagged_table(a, bool)
+    for i, ys in a.nonempty_columns():
+        if i != next_i:
+            continue
+        for s in range(0, r, _PAIR_BLOCK):
+            m = min(_PAIR_BLOCK, r - s)
+            t = ys[rng.integers(0, ys.size, m)]
+            t += i + pad
+            t -= ys[rng.integers(0, ys.size, m)]
+            hit = _lookup(a.ambient, occ, t) & (t != i + pad)
+            if hit.any():
+                return i + a.ambient.lo, _lag_column(a.ambient, int(t[hit][0]))
+        next_i, r = next(drawn, (None, 0))
     return None
 
 
@@ -172,8 +201,8 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     O(sum_x |A_x|^2 + size^2) time and O(size) memory beyond the set, since
     the pairs come in blocks; 64-bit integer arithmetic throughout.
     """
-    table = lagged_table(a)
-    pad = lag_pad(a.ambient)
+    table = _lagged_table(a)
+    pad = _lag_pad(a.ambient)
     sizes = table[pad : pad + a.ambient.size]  # a view, not a copy
     trivial = int(sizes @ sizes)
     lone = int(np.count_nonzero(sizes == 1))
@@ -182,8 +211,7 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     for _, _, _, t in pair_targets(a):
         if looked_up.size < t.size:
             looked_up = np.empty(t.size, dtype=np.int64)
-        # "clip" reads the grid's zero pads and writes into `out` unbuffered
-        pairs += int(table.take(t.ravel(), out=looked_up[: t.size], mode="clip").sum())
+        pairs += int(_lookup(a.ambient, table, t.ravel(), out=looked_up[: t.size]).sum())
     # the pairs include each column's k trivial pairs d = 0, which meet its
     # own k points, except in the `lone` skipped columns of one point
     return CornerCount(trivial=trivial, nontrivial=pairs - trivial + lone)
@@ -214,20 +242,20 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     `column_power` blocks (see `autocorrelation_total`).
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
-    sizes = t.column_sizes()
+    sizes = t.column_sizes(out=np.empty(t.ambient.size))
+    # sum_x |A_x|^2 <= N^3 < 2^53, so the float64 dot product is exact
     trivial = int(sizes @ sizes)
-    table = lagged_table(t, np.float64)
-    total = sum(autocorrelation_total(table, *block) for block in column_power(t))
+    total = sum(autocorrelation_total(sizes, *block) for block in column_power(t))
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 
 
-def autocorrelation_total(table: np.ndarray, cols: np.ndarray, power: np.ndarray) -> int:
+def autocorrelation_total(sizes: np.ndarray, cols: np.ndarray, power: np.ndarray) -> int:
     """sum_{x, d} c_x(d) |A_{x+d}| over the columns x of one `column_power`
-    block (cols, power), where `table` is the float64 `lagged_table` of the
-    column sizes.  Each cyclic autocorrelation c_x is the inverse transform
-    of its power spectrum, rounded to the nearest integer; a residue above
-    FFT_RESIDUE_TOL raises PrecisionError."""
-    N = (table.size + 2) // 3
+    block (cols, power), where `sizes` holds the N column sizes as float64
+    and x + d is taken mod N.  Each cyclic autocorrelation c_x is the
+    inverse transform of its power spectrum, rounded to the nearest
+    integer; a residue above FFT_RESIDUE_TOL raises PrecisionError."""
+    N = sizes.size
     corr = np.fft.irfft(power, n=N, axis=1)
     rounded = np.rint(corr)
     np.subtract(corr, rounded, out=corr)
@@ -238,11 +266,9 @@ def autocorrelation_total(table: np.ndarray, cols: np.ndarray, power: np.ndarray
             f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
         )
     # a row's terms are integers summing to at most N^3 < 2^53, so each
-    # float64 dot product is exact; row x meets table[x + N - 1 + d]
-    return sum(
-        int(row @ table[x + N - 1 : x + 2 * N - 1])
-        for x, row in zip(cols.tolist(), rounded)
-    )
+    # float64 dot product is exact; row x meets twice[x + d]
+    twice = np.concatenate((sizes, sizes))
+    return sum(int(row @ twice[x : x + N]) for x, row in zip(cols.tolist(), rounded))
 
 
 def count_corners(a: GridSet) -> CornerCount:

@@ -205,6 +205,17 @@ def test_verify_free_samples_above_the_exhaustive_limit():
     assert sl.verify_free(alone) is True
 
 
+def test_sampled_verification_memory_is_flat_in_the_probes(monkeypatch):
+    # the default 10^6 probes, on many columns and on one tall column
+    monkeypatch.setattr("skewlab.construct.VERIFY_EXHAUSTIVE_MAX", 0)
+    sphere, _ = sl.sphere_construction(2**16)
+    column = sl.make_grid_set([(1, y) for y in range(1, 4501)], sl.grid(4500))
+    for a in (sphere, column):
+        with peak_memory() as peak:
+            assert sl.verify_free(a) is True
+        assert peak.bytes <= 4 * 2**20
+
+
 def _seeded_sphere_ns() -> list[int]:
     """40 distinct n, log-uniform up to 2^21."""
     rng = np.random.default_rng(2024)

@@ -23,31 +23,16 @@ from skewlab.increment import _row_extract
 # transforms
 # ---------------------------------------------------------------------------
 
-def test_dft_constant_and_delta():
-    t = sl.dft(np.ones(8))
-    assert t.coeffs[0] == pytest.approx(1)
-    assert np.abs(t.coeffs[1:]).max() < 1e-12
-    delta = np.zeros(8)
-    delta[0] = 1
-    t = sl.dft(delta)
-    assert np.allclose(t.coeffs, 1 / 8)
-
-
-def test_dft_inversion_and_parseval():
-    rng = np.random.default_rng(0)
-    f = rng.normal(size=16)
-    t = sl.dft(f)
-    assert np.abs(t.inverse().real - f).max() < 1e-9
-    assert abs((np.abs(t.coeffs) ** 2).sum() - (f**2).mean()) < 1e-9
-
-
 def test_row_transforms_match_dft():
+    # average-normalized: rows[x, a] = E_y f(x, y) e(-ay/N)
     rng = np.random.default_rng(1)
     vals = rng.normal(size=(6, 6))
-    f = sl.TwoDFunction(6, vals)
-    rows = sl.row_transforms(f)
+    rows = sl.row_transforms(sl.TwoDFunction(6, vals))
+    y = np.arange(6)
     for x in range(6):
-        assert np.allclose(rows[x], sl.dft(vals[x]).coeffs)
+        for a in range(6):
+            want = np.mean(vals[x] * np.exp(-2j * np.pi * a * y / 6))
+            assert rows[x, a] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +40,7 @@ def test_row_transforms_match_dft():
 # ---------------------------------------------------------------------------
 
 def test_lambda_constant_is_one():
-    one = sl.TwoDFunction.constant(6)
+    one = sl.TwoDFunction(6, np.ones((6, 6)))
     assert sl.lambda_form(one, one, one) == pytest.approx(1)
 
 
@@ -79,9 +64,9 @@ def test_lambda_matches_tuple_counts():
 def test_lambda_requires_equal_moduli():
     with pytest.raises(sl.ParameterError):
         sl.lambda_form(
-            sl.TwoDFunction.constant(4),
-            sl.TwoDFunction.constant(4),
-            sl.TwoDFunction.constant(6),
+            sl.TwoDFunction(4, np.ones((4, 4))),
+            sl.TwoDFunction(4, np.ones((4, 4))),
+            sl.TwoDFunction(6, np.ones((6, 6))),
         )
 
 
@@ -149,35 +134,25 @@ def test_set_lambda_form_builds_no_square_array():
 
 
 # ---------------------------------------------------------------------------
-# marginals and balanced functions
+# marginal spectrum
 # ---------------------------------------------------------------------------
 
-def test_column_marginal_and_normalized_constant():
-    one = sl.TwoDFunction.constant(6)
-    assert np.allclose(sl.column_marginal(one), 1)
-    tilde = sl.column_normalized(one)
-    assert np.allclose(sl.column_marginal(tilde), 1)
-
-
-def test_column_normalized_zero_on_empty_columns():
-    a = sl.make_grid_set([(0, 1), (0, 3)], sl.torus(4))
-    tilde = sl.column_normalized(sl.TwoDFunction.indicator(a))
-    marg = sl.column_marginal(tilde)
-    assert marg[0] == pytest.approx(1)
-    assert np.allclose(marg[1:], 0)
-
-
-def test_balanced_function_empty_is_zero():
-    f = sl.balanced_function(sl.make_grid_set([], sl.grid(4)))
-    assert not f.values.any()
-
-
-def test_balanced_function_trivial_coefficient_vanishes():
+def test_marginal_spectrum_matches_the_balanced_indicator():
+    """|fft|/N of the column means of the indicator minus alpha on the
+    set's own [n]^2 block; coefficient 0 of that balanced marginal is 0."""
     rng = np.random.default_rng(3)
-    a = rand_grid_set(rng, 6, 0.5)
-    fa = sl.balanced_function(a)
-    coeff0 = sl.dft(sl.column_marginal(fa)).coeffs[0]
-    assert abs(coeff0) < 1e-12
+    sets = [sl.make_grid_set([], sl.grid(4)), sl.make_grid_set([], sl.torus(5))]
+    for side in (1, 2, 5, 6, 9):
+        for density in (0.2, 0.5, 1.0):
+            sets += [rand_grid_set(rng, side, density), rand_torus_set(rng, side, density)]
+    for a in sets:
+        n, lo = a.ambient.size, a.ambient.lo
+        values = sl.TwoDFunction.indicator(a).values
+        values[lo : lo + n, lo : lo + n] -= len(a) / n**2
+        marg = values.mean(axis=1)
+        got = sl.fourier.marginal_spectrum(a)
+        np.testing.assert_allclose(got, np.abs(np.fft.fft(marg)) / marg.size, atol=1e-12)
+        assert got[0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +191,33 @@ def test_dichotomy_rejects_non_free_input():
     bad = sl.make_grid_set([(1, 1), (1, 2), (2, 1)], sl.grid(2))
     with pytest.raises(sl.ParameterError):
         sl.dichotomy_report(bad)
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (sl.make_grid_set([(0, 0), (0, 1), (1, 0)], sl.torus(4)), "expects a grid-ambient set"),
+        (sl.make_grid_set([(1, 1), (1, 2), (2, 1)], sl.grid(4096)), "capped at side 4096"),
+    ],
+    ids=["torus", "over-the-cap"],
+)
+def test_refusals_come_before_the_corner_scan(monkeypatch, tmp_path, capsys, a, message):
+    """A torus set and a grid past the FFT cap are refused, with exit code
+    2 from the CLI, before any column pair is scanned."""
+    from skewlab import cli, fourier
+
+    def no_scan(_):
+        raise AssertionError("find_skew_corner called before the refusal")
+
+    monkeypatch.setattr(fourier, "find_skew_corner", no_scan)
+    path = tmp_path / "in.txt"
+    sl.save_skewset(a, path)
+    for argv in (
+        ["diagnose", "--in", str(path), "--check", "dichotomy"],
+        ["increment", "--in", str(path)],
+    ):
+        assert cli.run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_dichotomy_on_construction_output():
@@ -277,9 +279,13 @@ def test_column_blocks_match_definitions(monkeypatch, block_entries):
                 assert (count.trivial, count.nontrivial) == brute_skew_tuples(t)
 
             ind = sl.TwoDFunction.indicator(a)
+            # each row scaled to unit L1 average; empty rows stay zero
+            norms = ind.values.mean(axis=1)
+            normalized = np.zeros_like(ind.values)
+            normalized[norms > 0] = ind.values[norms > 0] / norms[norms > 0, None]
             definition = np.mean(
                 np.abs(sl.row_transforms(ind))
-                * np.abs(sl.row_transforms(sl.column_normalized(ind))),
+                * np.abs(sl.row_transforms(sl.TwoDFunction(ind.modulus, normalized))),
                 axis=0,
             )
             np.testing.assert_allclose(

@@ -263,3 +263,13 @@ def test_wide_grid_kernels_hold_no_three_n_table():
     assert witness == first
     assert count_peak.bytes < 3 * n * 8
     assert find_peak.bytes < 3 * n
+
+
+def test_only_verify_knows_the_lookup_layout():
+    import skewlab.construct
+    import skewlab.fourier
+
+    for mod in (skewlab.construct, skewlab.fourier):
+        for name in ("pair_targets", "_lag_pad", "_lagged_table", "_lookup", "_lag_column",
+                     "lag_pad", "lagged_table", "lag_column"):
+            assert not hasattr(mod, name), (mod.__name__, name)
