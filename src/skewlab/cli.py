@@ -207,7 +207,6 @@ def _cmd_search(args) -> int:
         ambient,
         budget=DEFAULT_BUDGET if args.budget is None else args.budget,
         mode="bi_skew" if args.bi else "skew",
-        symmetry=not args.no_symmetry,
     )
     report = {k: v for k, v in vars(res).items() if k != "witness"}
     if args.out:
@@ -292,8 +291,7 @@ def _cmd_increment(args) -> int:
     report = steps[0] if args.iterations == 1 else {"steps": steps}
     if args.out and final is not None and final.extracted is not None:
         save_skewset(final.extracted, args.out)
-        if isinstance(report, dict):
-            report["out"] = args.out
+        report["out"] = args.out
     _emit(report, args.report)
     return 0
 
@@ -366,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bi", action="store_true")
     p.add_argument("--budget", type=int, help="node budget (default: the "
                    "search module's DEFAULT_BUDGET)")
-    p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--out", help="write the witness as a skewset file")
     add_report(p)
     p.set_defaults(func=_cmd_search)

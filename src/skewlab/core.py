@@ -274,24 +274,20 @@ def embed_torus(a: GridSet) -> GridSet:
     return GridSet(torus(2 * n), offsets, a.ys)
 
 
-TranslationMap = Union[int, Mapping[int, int], Sequence[int], Callable[[int], int]]
+TranslationMap = Union[int, Mapping[int, int], Sequence[int]]
 
 
 def _shift_of(v: TranslationMap, x: int) -> int:
     if isinstance(v, int):
         return v
-    if isinstance(v, Mapping):
-        return v.get(x, 0)
-    if callable(v):
-        return v(x)
-    return v[x]
+    return v.get(x, 0) if isinstance(v, Mapping) else v[x]
 
 
 def translate(a: GridSet, h: int, v: TranslationMap) -> GridSet:
     """Torus translation (x, y) -> (x + h, y + v(x)) mod N.
 
     `v` gives an independent vertical shift per column (int for a uniform
-    shift, or a mapping/sequence/callable keyed by the column x, consulted
+    shift, or a mapping or sequence keyed by the column x, consulted
     for the nonempty columns only).  These are exactly the symmetries under
     which skew-corner-freeness is invariant.
     """

@@ -132,19 +132,24 @@ def row_transforms(f: TwoDFunction) -> np.ndarray:
     return np.fft.fft(f.values, axis=1) / f.modulus
 
 
-def lambda_form(
-    f: TwoDFunction,
-    g: TwoDFunction,
-    h: TwoDFunction,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def _check_form(direct: float, spectral: complex) -> None:
+    """The direct and spectral values of the counting form must agree within
+    DEFAULT_TOL."""
+    if abs(spectral.imag) > DEFAULT_TOL or abs(direct - spectral.real) > DEFAULT_TOL:
+        raise ConsistencyError(
+            f"counting form mismatch: direct {direct!r} vs spectral "
+            f"{spectral!r} beyond {DEFAULT_TOL}"
+        )
+
+
+def lambda_form(f: TwoDFunction, g: TwoDFunction, h: TwoDFunction) -> float:
     """The skew-corner counting form on triples of functions on (Z/NZ)^2:
 
         E_{x,y,y',d} f(x,y) g(x,y+d) h(x+d,y')
 
     Evaluated two ways, by direct summation (after collapsing y') and
-    through the spectral representation; the two must agree within `tol`.
-    Returns the direct value.
+    through the spectral representation; the two must agree within
+    DEFAULT_TOL.  Returns the direct value.
     """
     if not f.modulus == g.modulus == h.modulus:
         raise ParameterError("lambda_form needs equal moduli")
@@ -162,16 +167,11 @@ def lambda_form(
     cross = fh * np.conj(gh)
     # E_x fhat(x,.)(a) conj(ghat(x,.)(a)) gamma_a(x), diagonal in a
     inner = np.diagonal(np.fft.ifft(cross, axis=0))
-    spectral = complex((sh_hat * inner).sum())
-    if abs(spectral.imag) > tol or abs(direct - spectral.real) > tol:
-        raise ConsistencyError(
-            f"counting form mismatch: direct {direct!r} vs spectral "
-            f"{spectral!r} beyond {tol}"
-        )
+    _check_form(direct, complex((sh_hat * inner).sum()))
     return direct
 
 
-def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
+def set_lambda_form(a: GridSet) -> tuple[float, int]:
     """The counting form lambda(1_A, 1_A, 1_A) of a torus set, or of a grid
     set embedded into the torus of side N = 2n, without an N x N array.
 
@@ -183,8 +183,8 @@ def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
 
     with P_x the power spectrum of column x and S the transform of the
     column sizes.  Real rows give P_x(N - a) = P_x(a), so the sum runs over
-    the rfft half, weighted 1, 2, ..., 2, 1.  The two must agree within
-    `tol`, as in `lambda_form`.  Returns the spectral value and the integer.
+    the rfft half, weighted 1, 2, ..., 2, 1.  The two are checked as in
+    `lambda_form`.  Returns the spectral value and the integer.
     """
     t = embed_torus(a) if a.ambient.kind == GRID else a
     N = t.ambient.size
@@ -207,12 +207,7 @@ def set_lambda_form(a: GridSet, tol: float = DEFAULT_TOL) -> tuple[float, int]:
     if N % 2 == 0:
         weight[-1] = 1
     spectral = float(weight @ (s.real * re - s.imag * im)) / N**5
-    direct = total / N**4
-    if abs(direct - spectral) > tol:
-        raise ConsistencyError(
-            f"counting form mismatch: direct {direct!r} vs spectral "
-            f"{spectral!r} beyond {tol}"
-        )
+    _check_form(total / N**4, spectral)
     return spectral, total
 
 
@@ -229,7 +224,7 @@ class GvnReport:
     guaranteed_count: float  # (alpha^3 - alpha * eta) N^4 with eta = max coeff
 
 
-def check_gvn(a: GridSet, tol: float = DEFAULT_TOL) -> GvnReport:
+def check_gvn(a: GridSet) -> GvnReport:
     """Check the counting inequality lambda >= alpha^3 - alpha * eta where
     eta is the largest nontrivial coefficient of the column marginal of the
     balanced indicator.  A violation raises FalsificationError.
@@ -242,7 +237,7 @@ def check_gvn(a: GridSet, tol: float = DEFAULT_TOL) -> GvnReport:
     coeffs = marginal_spectrum(a)
     eta = float(coeffs[1:].max()) if N > 1 else 0.0
     rhs = alpha**3 - alpha * eta
-    holds = lam >= rhs - tol
+    holds = lam >= rhs - DEFAULT_TOL
     if not holds:
         raise FalsificationError(
             f"counting inequality violated: lambda={lam} < {rhs}"
@@ -315,16 +310,14 @@ def _require_free_grid(a: GridSet, who: str) -> None:
         raise ParameterError(f"{who} needs a skew-corner-free input: {w}")
 
 
-def dichotomy_report(a: GridSet, tol: float = DEFAULT_TOL) -> DichotomyReport:
+def dichotomy_report(a: GridSet) -> DichotomyReport:
     """For a skew-corner-free grid set: either the density is at most 8/n, or
     the weighted nontrivial spectral mass reaches alpha^2/64."""
     _require_free_grid(a, "dichotomy_report")
-    return _dichotomy(a, tol)[0]
+    return _dichotomy(a)[0]
 
 
-def _dichotomy(
-    a: GridSet, tol: float
-) -> tuple[DichotomyReport, np.ndarray, np.ndarray]:
+def _dichotomy(a: GridSet) -> tuple[DichotomyReport, np.ndarray, np.ndarray]:
     """`dichotomy_report` of a set that passed `_require_free_grid`,
     together with the marginal and cross spectra it was computed from."""
     n = a.ambient.size
@@ -336,7 +329,7 @@ def _dichotomy(
     thr_ii = alpha**2 / 64
     if alpha <= thr_i:
         branch = "i"
-    elif lhs >= thr_ii - tol:
+    elif lhs >= thr_ii - DEFAULT_TOL:
         branch = "ii"
     else:
         raise FalsificationError(
@@ -379,12 +372,13 @@ def parseval_bound(a: GridSet) -> ParsevalReport:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def zeta_value(s: float, terms: int = 10**6) -> float:
-    """zeta(s) for s > 1 by direct series plus an integral tail with
-    Euler-Maclaurin correction; error well below 1e-12 at the default
-    length for the exponents used here."""
+def zeta_value(s: float) -> float:
+    """zeta(s) for s > 1 by a direct series of 10^6 terms plus an integral
+    tail with Euler-Maclaurin correction; error well below 1e-12 for the
+    exponents used here."""
     if s <= 1:
         raise ParameterError("zeta_value needs s > 1")
+    terms = 10**6
     k = np.arange(1, terms + 1, dtype=np.float64)
     head = float((k**-s).sum())
     tail = terms ** (1 - s) / (s - 1) - 0.5 * terms**-s + s / 12 * terms ** (-s - 1)
@@ -434,40 +428,21 @@ def technical_select(
     )
 
 
-Theta = Union[float, Fraction]
-
-
-def _circle_distance(t: Theta) -> Theta:
-    frac = t - math.floor(t)
-    return min(frac, 1 - frac)
-
-
-def dirichlet(thetas: Sequence[Theta], Q: int) -> int:
+def dirichlet(thetas: Sequence[Union[float, Fraction]], Q: int) -> int:
     """Least q in [Q] with ||q theta_j|| < Q^(-1/m) for all j.
 
-    Exact integer comparisons when the thetas are Fractions.  The strict
-    inequality is what the pigeonhole argument yields; no q at all raises
-    FalsificationError.
+    Every theta is read as the Fraction it equals (floats included), so the
+    comparisons are exact integer ones.  The strict inequality is what the
+    pigeonhole argument yields; no q at all raises FalsificationError.
     """
     m = len(thetas)
     if m < 1 or Q < 1:
         raise ParameterError("need at least one theta and Q >= 1")
-    exact = all(isinstance(t, Fraction) for t in thetas)
-    if not exact:
-        cutoff = Q ** (-1.0 / m)
+    fracs = [Fraction(t) for t in thetas]
     for q in range(1, Q + 1):
-        good = True
-        for t in thetas:
-            dist = _circle_distance(q * t)
-            if exact:
-                # ||q theta||^m < 1/Q, exactly in integers
-                if Q * dist.numerator**m >= dist.denominator**m:
-                    good = False
-                    break
-            elif dist >= cutoff:
-                good = False
-                break
-        if good:
+        dists = (min(f, 1 - f) for f in (q * t % 1 for t in fracs))
+        # ||q theta||^m < 1/Q, exactly in integers
+        if all(Q * d.numerator**m < d.denominator**m for d in dists):
             return q
     raise FalsificationError(f"no q in [1, {Q}] approximates all thetas")
 
@@ -475,22 +450,19 @@ def dirichlet(thetas: Sequence[Theta], Q: int) -> int:
 @dataclass(frozen=True)
 class AnnihilationReport:
     annihilated: bool
-    nu: float
     max_defect: float
     min_coeff: float
     coeff_bound: float
 
 
 def annihilation_check(
-    gamma_set: CharacterSet, x_set: Iterable[int], nu: float
+    gamma_set: CharacterSet, x_set: Iterable[int]
 ) -> AnnihilationReport:
-    """Does every character of the set stay nu-close to 1 on all of X?
+    """Does every character of the set stay 1-close to 1 on all of X?
 
-    When it does, verifies that each |1_X^(gamma)| is at least
-    (1 - nu^2/2) |X| / N, as annihilation forces.
+    When it does, verifies that each |1_X^(gamma)| is at least |X| / 2N,
+    as annihilation forces.
     """
-    if not 0 < nu <= 2:
-        raise ParameterError("nu must lie in (0, 2]")
     if len(gamma_set) == 0:
         raise ParameterError("empty character set")
     N = gamma_set.modulus
@@ -500,9 +472,9 @@ def annihilation_check(
     freqs = np.asarray(gamma_set.frequencies, dtype=np.int64)
     phases = np.exp(2j * np.pi * (freqs[:, None] * xs[None, :] % N) / N)
     defect = float(np.abs(phases - 1).max())
-    annihilated = defect <= nu + 1e-12
+    annihilated = defect <= 1 + 1e-12
     coeffs = np.abs(phases.sum(axis=1)) / N
-    bound = (1 - nu**2 / 2) * xs.size / N
+    bound = xs.size / (2 * N)
     min_coeff = float(coeffs.min())
     if annihilated and min_coeff < bound - 1e-9:
         raise FalsificationError(
@@ -510,7 +482,6 @@ def annihilation_check(
         )
     return AnnihilationReport(
         annihilated=annihilated,
-        nu=nu,
         max_defect=defect,
         min_coeff=min_coeff,
         coeff_bound=bound,
@@ -550,7 +521,7 @@ def annihilating_progression(
         raise FalsificationError(
             f"progression span {prog.span} exceeds alpha n = {alpha * n}"
         )
-    report = annihilation_check(gamma_set, prog.elements(), 1.0)
+    report = annihilation_check(gamma_set, prog.elements())
     if not report.annihilated:
         raise FalsificationError(
             f"progression fails 1-annihilation (defect {report.max_defect})"

@@ -7,9 +7,10 @@ progressions of columns or rows.  Three spectral routes feed the step: a
 single dominant coefficient of the column marginal (blocks along one
 progression), heavy L2 mass of the column marginal (progression of columns
 plus a horizontal shift), and heavy L2 mass of the row spectra (progression
-of rows plus per-column vertical shifts).  Per-column shifts and horizontal
-shifts are exactly the symmetries that preserve freeness, so every
-extracted set is free again; the step re-verifies this with the oracle.
+of rows plus a vertical shift per column).  A vertical shift per column and
+a horizontal shift are exactly the symmetries that preserve freeness, so
+every extracted set is free again; the step re-verifies this with the
+oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,8 +101,8 @@ class BlockIncrement:
 @dataclass(frozen=True)
 class ProgressionIncrement:
     """Result of an L2 route: characters, annihilating progression (absent
-    on the small-density verdict), shifts, and the extracted free set with
-    its density on the progression band."""
+    on the small-density verdict), and the extracted free set with its
+    density on the progression band."""
 
     small_density: bool
     gamma_set: CharacterSet
@@ -109,8 +110,6 @@ class ProgressionIncrement:
     extracted: Optional[GridSet] = None
     extracted_count: int = 0
     band_area: int = 0
-    shift: int = 0
-    shifts: tuple[int, ...] = ()
 
     @property
     def density(self) -> float:
@@ -118,8 +117,9 @@ class ProgressionIncrement:
 
 
 def _check_extraction_free(a: GridSet, extracted: GridSet) -> None:
-    """Extractions use only freeness-preserving shifts and restrictions, so
-    a free input must yield a free extraction."""
+    """Extractions only move columns vertically, move the set horizontally
+    and restrict it, which preserves freeness, so a free input must yield a
+    free extraction."""
     if find_skew_corner(a) is not None:
         return
     w = find_skew_corner(extracted)
@@ -219,12 +219,6 @@ def vertical_linfty_increment(
     `gamma`, so some block of an approximating progression carries density
     at least (1 + 3 c') alpha.  Applies to any grid set; freeness is not
     needed because nothing is extracted here."""
-    return _vertical_linfty(a, gamma, marginal_spectrum(a), config)
-
-
-def _vertical_linfty(
-    a: GridSet, gamma: int, spectrum: np.ndarray, config: AnalysisConfig
-) -> BlockIncrement:
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
@@ -232,6 +226,7 @@ def _vertical_linfty(
     alpha = len(a) / n**2
     if not 1 <= gamma <= N - 1:
         raise ParameterError(f"gamma={gamma} is not a nontrivial frequency")
+    spectrum = marginal_spectrum(a)
     if spectrum[gamma] < 4 * config.c_prime * alpha - DEFAULT_TOL:
         raise ParameterError(
             f"coefficient {spectrum[gamma]:.4g} at gamma={gamma} is below "
@@ -268,36 +263,60 @@ def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncremen
     return BlockIncrement(small_density=False, progression=best[1], density=best[0])
 
 
-def _column_extract(a: GridSet, p: Progression) -> tuple[int, GridSet, int]:
-    """Best horizontal shift: restrict the shifted set to the columns of p.
-    Returns (shift, extracted set in P x [n], point count)."""
+def _column_extract(a: GridSet, p: Progression) -> GridSet:
+    """Best horizontal shift: the first shift maximizing the points it
+    brings onto the columns of p, then the shifted set restricted to them,
+    in P x [n]."""
     t = embed_torus(a)
     N = t.ambient.size
     shift = int(_shift_scores(t.column_sizes(), p).argmax())
     xs, ys = a.coordinates()
     xs = (xs - shift) % N
     keep = p.index(xs) > 0
-    return shift, GridSet.from_arrays(xs[keep], ys[keep], a.ambient), int(keep.sum())
+    return GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
 
 
-def _row_extract(a: GridSet, p: Progression) -> tuple[tuple[int, ...], GridSet, int]:
-    """Best per-column vertical shifts: returns (shifts, extracted set in
-    [n] x P, point count).  shifts[x] is the first y maximizing
-    |(A_x - y) cap P| over the torus columns x; empty columns keep 0."""
+def _row_extract(a: GridSet, p: Progression) -> GridSet:
+    """Best vertical shift per column: column x moves down by the first y
+    maximizing |(A_x - y) cap P| over the torus columns x, and the moved
+    set is restricted to the rows of p, in [n] x P."""
     t = embed_torus(a)
     N = t.ambient.size
     cols = np.flatnonzero(t.column_sizes())
     # a score sums len(P) entries of 0 or 1, so the narrowest unsigned type
     # holding len(P) keeps the indicator and its scores exact
     rows = t.indicator_matrix(np.min_scalar_type(p.length), cols=cols)
-    shifts = np.zeros(N, dtype=np.int64)
-    shifts[cols] = _shift_scores(rows, p).argmax(axis=1)
+    down = np.zeros(N, dtype=np.int64)
+    down[cols] = _shift_scores(rows, p).argmax(axis=1)
     # torus column x holds grid column x: the embedding keeps coordinates
     xs, ys = a.coordinates()
-    ys = (ys - shifts[xs]) % N
+    ys = (ys - down[xs]) % N
     keep = p.index(ys) > 0
-    extracted = GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
-    return tuple(shifts.tolist()), extracted, int(keep.sum())
+    return GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
+
+
+@dataclass(frozen=True)
+class _L2Route:
+    """One L2 route.  It opens when sum |spectrum|^exponent over the
+    nontrivial frequencies reaches (C alpha)^exponent.  Its characters are
+    the heavy prefix of the weights spectrum^power, by technical_select with
+    beta = (C alpha)^power, p = exponent / power and (q, p') = `select`.
+    `extract` moves the set onto the band along `axis` of the progression
+    that annihilates them; guaranteed mode needs density 3 m^k alpha there."""
+
+    exponent: float
+    power: int
+    select: tuple[float, float]
+    extract: Callable[[GridSet, Progression], GridSet]
+    axis: str
+    branch: str
+    k: Fraction
+
+
+_COLUMN_ROUTE = _L2Route(
+    2.5, 2, (1 / 2, 6 / 5), _column_extract, "columns", "iii", Fraction(1, 6)
+)
+_ROW_ROUTE = _L2Route(1.5, 1, (0.0, 4 / 3), _row_extract, "rows", "iv", Fraction(1, 4))
 
 
 def vertical_l2_increment(
@@ -307,16 +326,10 @@ def vertical_l2_increment(
     marginal spectrum: sum of |coefficients|^(5/2) over nontrivial
     frequencies at least (C alpha)^(5/2); returns None otherwise.
 
-    Horizontal shifts preserve freeness, so for free inputs the extracted
+    A horizontal shift preserves freeness, so for free inputs the extracted
     set is free again (enforced); non-free inputs are allowed and skip that
     check."""
-    return _vertical_l2(a, marginal_spectrum(a), config)
-
-
-def _vertical_l2(
-    a: GridSet, spectrum: np.ndarray, config: AnalysisConfig
-) -> Optional[ProgressionIncrement]:
-    return _l2_route(a, spectrum, 2.5, 2, (1 / 2, 6 / 5), _column_extract, config)
+    return _l2_route(a, marginal_spectrum(a), _COLUMN_ROUTE, config)
 
 
 def horizontal_increment(
@@ -326,57 +339,41 @@ def horizontal_increment(
     sum over nontrivial frequencies of (E_x |row-hat| |normalized-row-hat|)
     ^(3/2) at least (C alpha)^(3/2); returns None otherwise.
 
-    Per-column vertical shifts preserve freeness, so for free inputs the
+    A vertical shift per column preserves freeness, so for free inputs the
     extracted set is free again (enforced)."""
-    return _horizontal(a, cross_spectrum(a), config)
-
-
-def _horizontal(
-    a: GridSet, cross: np.ndarray, config: AnalysisConfig
-) -> Optional[ProgressionIncrement]:
-    return _l2_route(a, cross, 1.5, 1, (0.0, 4 / 3), _row_extract, config)
+    return _l2_route(a, cross_spectrum(a), _ROW_ROUTE, config)
 
 
 def _l2_route(
-    a: GridSet,
-    spectrum: np.ndarray,
-    exponent: float,
-    power: int,
-    select: tuple[float, float],
-    extract: Callable[[GridSet, Progression], tuple[Any, GridSet, int]],
-    config: AnalysisConfig,
+    a: GridSet, spectrum: np.ndarray, route: _L2Route, config: AnalysisConfig
 ) -> Optional[ProgressionIncrement]:
-    """The body of both L2 routes.  Opens when the nontrivial mass
-    sum |spectrum|^exponent reaches (C alpha)^exponent; the characters are
-    the heavy prefix of the weights spectrum^power, found by
-    technical_select with beta = (C alpha)^power, p = exponent / power and
-    (q, p') = `select`; `extract` then shifts the set onto the progression
-    that annihilates them."""
+    """Run `route` on its spectrum; None when it does not open."""
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
     alpha = len(a) / n**2
     if alpha == 0:
         return None
+    exponent, power = route.exponent, route.power
     if float((spectrum[1:] ** exponent).sum()) < (config.C * alpha) ** exponent:
         return None
     weights = spectrum**power
     b = np.sort(weights[1:])[::-1]
-    m = technical_select(b, (config.C * alpha) ** power, exponent / power, *select)
+    beta = (config.C * alpha) ** power
+    m = technical_select(b, beta, exponent / power, *route.select)
     gamma_set = CharacterSet(2 * n, _top_frequencies(weights, m))
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
         return ProgressionIncrement(small_density=True, gamma_set=gamma_set)
-    shift, extracted, count = extract(a, prog)
+    extracted = route.extract(a, prog)
     _check_extraction_free(a, extracted)
     return ProgressionIncrement(
         small_density=False,
         gamma_set=gamma_set,
         progression=prog,
         extracted=extracted,
-        extracted_count=count,
+        extracted_count=len(extracted),
         band_area=prog.length * n,
-        **({"shifts": shift} if isinstance(shift, tuple) else {"shift": shift}),
     )
 
 
@@ -522,27 +519,26 @@ def _guaranteed_step(
         return _small_density(alpha, n, "alpha <= 8/n")
     # the dichotomy is a falsification check that must pass; its spectra
     # then select the route
-    _, spectrum, cross = _dichotomy(a, DEFAULT_TOL)
+    _, spectrum, cross = _dichotomy(a)
     c_p = config.c_prime
-    # the L2 routes in order of preference, each with the exponent k of its
-    # band bound 3 m^k alpha; a route returns None when its mass is too low
-    for route, spec, axis, branch, label, k in (
-        (_horizontal, cross, "rows", "iv", "row", Fraction(1, 4)),
-        (_vertical_l2, spectrum, "columns", "iii", "column", Fraction(1, 6)),
-    ):
-        res = route(a, spec, config)
+    # the L2 routes in order of preference; a route returns None when its
+    # mass is too low
+    for route, spec in ((_ROW_ROUTE, cross), (_COLUMN_ROUTE, spectrum)):
+        res = _l2_route(a, spec, route, config)
         if res is None:
             continue
         if res.small_density:
             return _small_density(alpha, n, "alpha n below the progression guard")
         m = len(res.gamma_set)
-        if res.density < 3 * m ** float(k) * alpha - DEFAULT_TOL:
+        if res.density < 3 * m ** float(route.k) * alpha - DEFAULT_TOL:
             raise FalsificationError(
-                f"{label}-band density {res.density:.6g} below 3 m^({k}) alpha; "
-                "configured C does not support the guaranteed bound"
+                f"{route.axis[:-1]}-band density {res.density:.6g} below "
+                f"3 m^({route.k}) alpha; configured C does not support the "
+                "guaranteed bound"
             )
         out = _subsquare_outcome(
-            res.extracted, res.progression, axis, branch, res.gamma_set, alpha
+            res.extracted, res.progression, route.axis, route.branch,
+            res.gamma_set, alpha,
         )
         return _above_floor(out, (1 + c_p) * m ** (1 / 6) * alpha)
     if float(spectrum[1:].max()) < 4 * c_p * alpha:
@@ -550,7 +546,7 @@ def _guaranteed_step(
             f"no spectral route opened at C={config.C}, c_prime={c_p}; "
             "constants too aggressive for this input"
         )
-    res = _vertical_linfty(a, _top_frequencies(spectrum, 1)[0], spectrum, config)
+    res = vertical_linfty_increment(a, _top_frequencies(spectrum, 1)[0], config)
     if res.small_density:
         return _small_density(alpha, n, "alpha below the block guard")
     out = _subsquare_outcome(a, res.progression, "columns", "ii", None, alpha)
@@ -590,10 +586,8 @@ def _best_effort_step(
     for m in (1, 2, 3):
         if m > 2 * n - 1:
             break
-        for weights, axis, branch, extract in (
-            (spectrum**2, "columns", "iii", _column_extract),
-            (cross, "rows", "iv", _row_extract),
-        ):
+        for route, spec in ((_COLUMN_ROUTE, spectrum), (_ROW_ROUTE, cross)):
+            weights = spec**route.power
             freqs = _top_frequencies(weights, m)
             if len(freqs) < m or weights[list(freqs)].max() <= 0:
                 continue
@@ -605,8 +599,8 @@ def _best_effort_step(
                 continue
             candidates.append(
                 _subsquare_outcome(
-                    extract(a, prog)[1], prog, axis, branch, gamma_set, alpha,
-                    note="best-effort route with relaxed guards",
+                    route.extract(a, prog), prog, route.axis, route.branch,
+                    gamma_set, alpha, note="best-effort route with relaxed guards",
                 )
             )
 

@@ -277,7 +277,7 @@ def max_skew_corner_free(
     )
 
 
-def find_base_set(b: int, budget: int = DEFAULT_BUDGET) -> Optional[BaseSet]:
+def find_base_set(b: int) -> Optional[BaseSet]:
     """Search (Z/bZ)^2 for a skew-corner-free set larger than b.
 
     Returns a BaseSet whenever the search exhibits one (a witness proves
@@ -287,7 +287,7 @@ def find_base_set(b: int, budget: int = DEFAULT_BUDGET) -> Optional[BaseSet]:
         raise CapabilityError(f"base modulus {b} exceeds {MAX_AMBIENT}")
     if b < 1:
         raise ParameterError("base modulus must be >= 1")
-    res = max_skew_corner_free(torus(b), budget=budget, mode=SKEW)
+    res = max_skew_corner_free(torus(b), mode=SKEW)
     if res.best_size > b:
         return BaseSet(b, res.witness)
     return None
@@ -300,13 +300,13 @@ class STableRow:
     certified: bool
 
 
-def s_table(n_max: int, budget: int = DEFAULT_BUDGET) -> list[STableRow]:
+def s_table(n_max: int) -> list[STableRow]:
     """Certified maximum sizes for grids [1]^2 .. [n_max]^2.
 
     Rows where the budget ran out are flagged non-certified.
     """
     rows = []
     for n in range(1, n_max + 1):
-        res = max_skew_corner_free(Ambient("grid", n), budget=budget)
+        res = max_skew_corner_free(Ambient("grid", n))
         rows.append(STableRow(n=n, size=res.best_size, certified=res.optimal))
     return rows

@@ -66,7 +66,7 @@ def test_criterion_03_lambda_identity():
         N = a.ambient.size
         ind = sl.TwoDFunction.indicator(a)
         # lambda_form itself enforces direct-vs-spectral agreement at 1e-9
-        lam = sl.lambda_form(ind, ind, ind, tol=1e-9)
+        lam = sl.lambda_form(ind, ind, ind)
         total = sl.count_skew_corners_naive(a).total
         assert abs(lam * N**4 - total) <= 1e-6 * max(total, 1)
         checked += 1

@@ -297,10 +297,9 @@ def test_column_blocks_match_definitions(monkeypatch, block_entries):
                 length = int(rng.integers(1, n // d + 1))
                 start = int(rng.integers(1, n - (length - 1) * d + 1))
                 p = sl.Progression(start, d, length)
-                shifts, want, _ = row_shift_definition(a, p)
-                got_shifts, got, got_count = _row_extract(a, p)
-                assert got_shifts == tuple(shifts)
-                assert set(got.points()) == want and got_count == len(want)
+                _, want, _ = row_shift_definition(a, p)
+                got = _row_extract(a, p)
+                assert set(got.points()) == want
     for N in (31, 48):  # larger odd and non-power-of-two sides
         a = _with_empty_columns(rand_torus_set(rng, N, 0.3), rng)
         assert sl.count_skew_corners_fft(a) == sl.count_skew_corners_naive(a)
@@ -405,14 +404,14 @@ def test_dirichlet_bound_holds_on_random_rationals():
 
 def test_annihilation_examples():
     gs = sl.CharacterSet(24, (1, 5))
-    rep = sl.annihilation_check(gs, [0], 1.0)
+    rep = sl.annihilation_check(gs, [0])
     assert rep.annihilated  # characters are 1 at 0
     gs = sl.CharacterSet(24, (1,))
-    rep = sl.annihilation_check(gs, range(0, 3), 1.0)
+    rep = sl.annihilation_check(gs, range(0, 3))
     assert rep.annihilated
     assert rep.min_coeff >= rep.coeff_bound - 1e-9
     gs = sl.CharacterSet(8, (4,))  # gamma(1) = e(1/2) = -1, defect 2
-    rep = sl.annihilation_check(gs, [1], 1.0)
+    rep = sl.annihilation_check(gs, [1])
     assert not rep.annihilated
     assert rep.max_defect == pytest.approx(2)
 
@@ -430,7 +429,7 @@ def test_annihilating_progression_contract():
     assert prog.length == int(math.isqrt(n) / 6)
     assert prog.span <= n
     assert prog.last <= n
-    rep = sl.annihilation_check(gs, prog.elements(), 1.0)
+    rep = sl.annihilation_check(gs, prog.elements())
     assert rep.annihilated
 
 

@@ -1,5 +1,7 @@
+import itertools
 import time
 
+import numpy as np
 import pytest
 
 import skewlab as sl
@@ -229,3 +231,55 @@ def test_witnesses_pass_oracle_modes():
         assert sl.find_skew_corner(res.witness) is None
         if mode == "bi_skew":
             assert sl.is_bi_skew_corner_free(res.witness)
+
+
+def _corner_triples(ambient: sl.Ambient, bi: bool) -> set[frozenset[int]]:
+    """Every skew corner (x, y), (x, y + d), (x + d, y') with d != 0 of the
+    ambient as a set of three cell indices x * size + y (coordinates from
+    0), plus the transposed triples for bi-skew."""
+    n, torus = ambient.size, ambient.kind == "torus"
+    triples = set()
+    for x, y, y3 in itertools.product(range(n), repeat=3):
+        for d in range(1 - n, n):
+            x3, y2 = x + d, y + d
+            if torus:
+                x3, y2 = x3 % n, y2 % n
+            if d == 0 or not (0 <= x3 < n and 0 <= y2 < n):
+                continue
+            triples.add(frozenset((x * n + y, x * n + y2, x3 * n + y3)))
+            if bi:
+                triples.add(frozenset((y * n + x, y2 * n + x, y3 * n + x3)))
+    return triples
+
+
+@pytest.mark.parametrize(
+    "ambient, mode",
+    [(sl.torus(6), "skew"), (sl.grid(6), "skew"), (sl.torus(5), "bi_skew"),
+     (sl.torus(6), "bi_skew")],
+    ids=str,
+)
+def test_ilp_optimum_matches_the_search(ambient, mode):
+    # a third route that needs neither the search nor its pruning: a 0/1
+    # program with one binary per cell and x_p + x_q + x_r <= 2 for every
+    # skew-corner triple {p, q, r}
+    optimize = pytest.importorskip("scipy.optimize")
+    n = ambient.size
+    triples = sorted(map(sorted, _corner_triples(ambient, mode == "bi_skew")))
+    rows = np.zeros((len(triples), n * n))
+    for i, cells in enumerate(triples):
+        rows[i, cells] = 1
+    res = optimize.milp(
+        -np.ones(n * n),
+        constraints=optimize.LinearConstraint(rows, ub=2),
+        integrality=np.ones(n * n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.status == 0
+    cells = np.flatnonzero(res.x > 0.5)
+    witness = sl.GridSet.from_arrays(cells // n + ambient.lo, cells % n + ambient.lo, ambient)
+    assert len(witness) == round(-res.fun)
+    if mode == "bi_skew":
+        assert sl.is_bi_skew_corner_free(witness)
+    else:
+        assert sl.find_skew_corner(witness) is None
+    assert len(witness) == sl.max_skew_corner_free(ambient, mode=mode).best_size
