@@ -12,18 +12,20 @@ modules they need.
 import importlib
 
 _EXPORTS = {
-    "core": (
+    "ambient": (
         "Ambient",
+        "grid",
+        "torus",
+    ),
+    "core": (
         "GridSet",
         "Witness",
         "dumps_skewset",
         "embed_torus",
-        "grid",
         "load_skewset",
         "loads_skewset",
         "make_grid_set",
         "save_skewset",
-        "torus",
         "translate",
         "transpose",
     ),
@@ -90,14 +92,16 @@ _EXPORTS = {
         "BlockIncrement",
         "IncrementOutcome",
         "PigeonholeResult",
-        "ProductSetReport",
         "ProgressionIncrement",
         "horizontal_increment",
         "increment_step",
         "pigeonhole_square",
-        "product_set_experiment",
         "vertical_l2_increment",
         "vertical_linfty_increment",
+    ),
+    "experiment": (
+        "ProductSetReport",
+        "product_set_experiment",
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

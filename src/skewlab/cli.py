@@ -13,24 +13,26 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import FalsificationError, ParameterError, SkewLabError
 
 if TYPE_CHECKING:
     from .fourier import Progression
 
-# Each handler imports the modules it runs, so a job loads no other.
+# Each handler imports the modules it runs, so a job loads no other; numpy
+# too is loaded only by the jobs that hold arrays.
 
 GROWTH_CSV_COLUMNS = ["n", "size", "density", "fitted_c", "m", "d", "r", "t"]
 
 
 def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    # no numpy scalar can exist before numpy is imported
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name))
@@ -199,7 +201,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .core import Ambient, save_skewset
+    from .ambient import Ambient, skewset_header
     from .search import DEFAULT_BUDGET, max_skew_corner_free
 
     ambient = Ambient(args.ambient, args.size)
@@ -208,9 +210,13 @@ def _cmd_search(args) -> int:
         budget=DEFAULT_BUDGET if args.budget is None else args.budget,
         mode="bi_skew" if args.bi else "skew",
     )
-    report = {k: v for k, v in vars(res).items() if k != "witness"}
+    report = _jsonable(res)
+    del report["points"]
     if args.out:
-        save_skewset(res.witness, args.out)
+        # the `save_skewset` text of the witness, without building its GridSet
+        lines = "".join(f"{x} {y}\n" for x, y in res.points)
+        with open(args.out, "wb") as fh:
+            fh.write((skewset_header(ambient) + lines).encode("ascii"))
         report["out"] = args.out
     _emit(report, args.report)
     return 0
@@ -297,7 +303,7 @@ def _cmd_increment(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .increment import product_set_experiment
+    from .experiment import product_set_experiment
 
     rep = product_set_experiment(args.beta, args.N, args.trials, args.seed)
     _emit(dataclasses.asdict(rep), args.report)

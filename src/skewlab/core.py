@@ -1,7 +1,8 @@
-"""Ambient spaces, the immutable point-set model, and its symmetry operations.
+"""The immutable point-set model, its symmetry operations and its file format.
 
-Grids [n]^2 use 1-based coordinates in [1, n]; tori (Z/NZ)^2 use residues
-in [0, N-1].  Points are stored column-wise, since every algorithm in the
+The ambient spaces (`Ambient`, `grid`, `torus`) live in `ambient`, which
+needs no numpy; they are imported here too, so `from .core import Ambient`
+still works.  Points are stored column-wise, since every algorithm in the
 package iterates over vertical slices: a GridSet keeps compressed sparse
 rows, one offsets array with an entry per column boundary and one array of
 y-values sorted within each column.  This module is the only one that
@@ -20,46 +21,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Un
 
 import numpy as np
 
+from .ambient import GRID, TORUS, Ambient, grid, skewset_header, torus  # noqa: F401
 from .errors import CapabilityError, CoordinateError, FormatError, ParameterError
-
-GRID = "grid"
-TORUS = "torus"
-
-
-@dataclass(frozen=True)
-class Ambient:
-    """A square ambient space: the grid [n]^2 or the torus (Z/NZ)^2."""
-
-    kind: str
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (GRID, TORUS):
-            raise ParameterError(f"unknown ambient kind {self.kind!r}")
-        if self.size < 1:
-            raise ParameterError(f"ambient size must be >= 1, got {self.size}")
-
-    @property
-    def lo(self) -> int:
-        return 1 if self.kind == GRID else 0
-
-    @property
-    def hi(self) -> int:
-        return self.size if self.kind == GRID else self.size - 1
-
-    def in_range(self, v: int) -> bool:
-        return self.lo <= v <= self.hi
-
-    def __str__(self) -> str:
-        return f"{self.kind} {self.size}"
-
-
-def grid(n: int) -> Ambient:
-    return Ambient(GRID, n)
-
-
-def torus(N: int) -> Ambient:
-    return Ambient(TORUS, N)
 
 
 @dataclass(frozen=True)
@@ -126,7 +89,11 @@ class GridSet:
         return self.ys[self.offsets[i] : self.offsets[i + 1]]
 
     def column(self, x: int) -> tuple[int, ...]:
-        """Vertical slice at x, in ambient coordinates."""
+        """Vertical slice at x, in ambient coordinates.
+
+        Raises CoordinateError when x lies outside the ambient."""
+        if not self.ambient.in_range(x):
+            raise CoordinateError(f"column {x} outside {self.ambient}")
         return tuple(self._slice(x - self.ambient.lo).tolist())
 
     def nonempty_columns(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -350,7 +317,7 @@ def _skewset_chunks(a: GridSet) -> Iterator[bytes]:
     one uint8 array of digit, space and newline columns whose zero
     padding is dropped, so memory beyond the set stays O(chunk)."""
     amb = a.ambient
-    yield f"skewset 1\nambient {amb.kind} {amb.size}\n".encode()
+    yield skewset_header(amb).encode()
     for start in range(0, len(a), _WRITE_CHUNK):
         at = np.arange(start, min(start + _WRITE_CHUNK, len(a)))
         xs = np.searchsorted(a.offsets, at, side="right") - 1 + amb.lo

@@ -18,18 +18,25 @@ and on the occupied columns shifted by size-1-p, so the search keeps, per
 such mask, the list of surviving pool positions and counts the rejected
 candidates between them by arithmetic.  The lists are found lazily, never
 further than the remaining budget reaches.
+
+The search holds no arrays: it imports only `ambient` and `errors`, and a
+result keeps its witness as sorted (x, y) points, so a CLI search loads no
+numpy.  `SearchResult.witness` builds the GridSet of `core` on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .construct import BaseSet
-from .core import Ambient, GridSet, TORUS, make_grid_set, torus
+from .ambient import TORUS, Ambient, torus
 from .errors import CapabilityError, ParameterError
+
+if TYPE_CHECKING:
+    from .construct import BaseSet
+    from .core import GridSet
 
 MAX_AMBIENT = 64
 DEFAULT_BUDGET = 10**8
@@ -49,10 +56,17 @@ class SearchResult:
     ambient: Ambient
     mode: str
     best_size: int
-    witness: GridSet
+    points: tuple[tuple[int, int], ...]  # the witness, sorted
     optimal: bool
     nodes_explored: int
     budget_exhausted: bool
+
+    @cached_property
+    def witness(self) -> GridSet:
+        """The witness as a GridSet, built on first use."""
+        from .core import make_grid_set
+
+        return make_grid_set(self.points, self.ambient)
 
 
 class _BudgetExhausted(Exception):
@@ -259,18 +273,17 @@ def max_skew_corner_free(
         best, best_masks = reached, reached_masks
 
     lo = ambient.lo
-    pts = [
+    points = tuple(
         (p + lo, b + lo)
         for p, s in enumerate(best_masks or ())
         for b in range(size)
         if s >> b & 1
-    ]
-    witness = make_grid_set(pts, ambient)
+    )
     return SearchResult(
         ambient=ambient,
         mode=mode,
         best_size=best,
-        witness=witness,
+        points=points,
         optimal=not exhausted,
         nodes_explored=nodes,
         budget_exhausted=exhausted,
@@ -289,6 +302,8 @@ def find_base_set(b: int) -> Optional[BaseSet]:
         raise ParameterError("base modulus must be >= 1")
     res = max_skew_corner_free(torus(b), mode=SKEW)
     if res.best_size > b:
+        from .construct import BaseSet
+
         return BaseSet(b, res.witness)
     return None
 

@@ -391,6 +391,42 @@ def test_skewset_roundtrip_through_cli(capsys, tmp_path):
     assert sl.load_skewset(out_path) == a
 
 
+SEARCH_WRITER_CASES = [
+    (kind, size, bi, None)
+    for kind in ("grid", "torus")
+    for size in range(1, 8)
+    for bi in (False, True)
+] + [("grid", 20, False, 10), ("grid", 40, False, 1000)]
+
+
+def test_search_writer_matches_the_set_writer(capsys, tmp_path):
+    """`search --out` writes the result's points itself: the file is the
+    `dumps_skewset` text of `res.witness`, which is the GridSet of
+    `res.points`, and the report holds every other field of the result."""
+    for kind, size, bi, budget in SEARCH_WRITER_CASES:
+        amb = sl.Ambient(kind, size)
+        mode = "bi_skew" if bi else "skew"
+        kw = {} if budget is None else {"budget": budget}
+        res = sl.max_skew_corner_free(amb, mode=mode, **kw)
+        assert res.witness == sl.make_grid_set(res.points, amb)
+        assert list(res.witness.points()) == list(res.points)
+        out = tmp_path / f"{kind}{size}{mode}.txt"
+        argv = ["search", "--ambient", kind, "--size", str(size), "--out", str(out)]
+        argv += ["--bi"] * bi + ([] if budget is None else ["--budget", str(budget)])
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.read_bytes() == sl.dumps_skewset(res.witness).encode("ascii")
+        assert json.loads(stdout) == {
+            "ambient": {"kind": kind, "size": size},
+            "mode": mode,
+            "best_size": res.best_size,
+            "optimal": res.optimal,
+            "nodes_explored": res.nodes_explored,
+            "budget_exhausted": res.budget_exhausted,
+            "out": str(out),
+        }
+
+
 def test_construct_reports_how_it_verified(capsys, monkeypatch):
     cases = [
         (("sphere", "--n", "1024"), "exhaustive"),
@@ -417,21 +453,59 @@ def test_construct_reports_how_it_verified(capsys, monkeypatch):
         assert rep["probes"] == 10**6 and rep["seed"] == seed
 
 
-def test_naive_count_imports_only_what_it_runs(eight_file):
-    """`python -m skewlab.cli count --method naive` loads neither the
-    spectral, the increment nor the search module."""
+def _cli_imports(cwd, *argv) -> tuple[set[str], str]:
+    """Run `python -X importtime -m skewlab.cli argv` in `cwd`; return the
+    modules it loaded and its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sl.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "skewlab.cli",
-         "count", "--method", "naive", "--in", eight_file],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        [sys.executable, "-X", "importtime", "-m", "skewlab.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["total"] > 0
     # each -X importtime line ends in "| <module name>"
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert {"skewlab.core", "skewlab.verify"} <= loaded
-    assert not loaded & {"skewlab.fourier", "skewlab.increment", "skewlab.search"}
+    return loaded, proc.stdout
+
+
+# job: (argv, modules it must load, modules it must not load)
+IMPORT_BUDGET = {
+    "search": (
+        ("search", "--ambient", "torus", "--size", "6", "--out", "w.txt"),
+        {"skewlab.ambient", "skewlab.search"},
+        {"numpy"},
+    ),
+    "version": (("--version",), set(), {"numpy"}),
+    "help": (("--help",), set(), {"numpy"}),
+    "experiment": (
+        ("experiment", "product-set", "--beta", "0.5", "--N", "16",
+         "--trials", "3", "--seed", "1"),
+        {"numpy", "skewlab.experiment"},
+        {"skewlab.core", "skewlab.verify", "skewlab.fourier", "skewlab.increment"},
+    ),
+    "count-naive": (
+        ("count", "--method", "naive", "--in", "eight.txt"),
+        {"skewlab.core", "skewlab.verify"},
+        {"skewlab.fourier", "skewlab.increment", "skewlab.search"},
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(IMPORT_BUDGET))
+def test_cli_jobs_import_only_what_they_run(job, eight_file, capsys, monkeypatch):
+    """Each CLI job, run as a fresh process, loads the modules it runs and
+    none of those listed against it, and prints what an in-process run
+    prints."""
+    argv, loads, skips = IMPORT_BUDGET[job]
+    cwd = os.path.dirname(eight_file)
+    loaded, stdout = _cli_imports(cwd, *argv)
+    assert loads <= loaded
+    assert not loaded & skips
+    if job == "count-naive":
+        assert json.loads(stdout)["total"] > 0
+    monkeypatch.chdir(cwd)
+    assert cli.run(list(argv)) == 0
+    assert stdout == capsys.readouterr().out
 
 
 def test_every_public_name_resolves():

@@ -43,6 +43,19 @@ def test_column_access_and_sizes():
     assert list(a.points()) == [(2, 1), (2, 5), (4, 3)]
 
 
+def test_column_outside_the_ambient_is_refused():
+    a = sl.make_grid_set([(1, 1), (3, 2), (3, 3)], sl.grid(3))
+    assert a.column(3) == (2, 3)
+    for x in (-1, 0, 4):
+        with pytest.raises(sl.CoordinateError, match=rf"column {x} outside grid 3"):
+            a.column(x)
+    t = sl.make_grid_set([(0, 0), (2, 1)], sl.torus(3))
+    assert t.column(0) == (0,) and t.column(2) == (1,)
+    for x in (-1, 3):
+        with pytest.raises(sl.CoordinateError, match=rf"column {x} outside torus 3"):
+            t.column(x)
+
+
 def test_embed_torus_identity_on_coordinates():
     a = sl.make_grid_set([(1, 1)], sl.grid(2))
     e = sl.embed_torus(a)
