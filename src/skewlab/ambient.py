@@ -9,10 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import CapabilityError, ParameterError
 
 GRID = "grid"
 TORUS = "torus"
+
+# Widest side of an ambient.  A set keeps one int64 offset per column, so
+# this caps that array at 1 GiB, and every point key (x - lo) * size +
+# (y - lo) fits in int64.  Plain sphere sets stay within MAX_POINTS up to
+# side 105 413 503 (m = 6, d = 7), below this bound; wider bi-sphere sets
+# are refused by it.
+MAX_SIDE = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,10 @@ class Ambient:
             raise ParameterError(f"unknown ambient kind {self.kind!r}")
         if self.size < 1:
             raise ParameterError(f"ambient size must be >= 1, got {self.size}")
+        if self.size > MAX_SIDE:
+            raise CapabilityError(
+                f"ambient size {self.size} exceeds the limit {MAX_SIDE}"
+            )
 
     @property
     def lo(self) -> int:

@@ -102,7 +102,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_construct(args) -> int:
     from .construct import (
-        EXHAUSTIVE,
         SAMPLED,
         SKIPPED,
         VERIFY_PROBES,
@@ -121,10 +120,9 @@ def _cmd_construct(args) -> int:
     if args.family == "sphere":
         build = bi_sphere_construction if args.bi else sphere_construction
         a, params = build(args.n)
-        verified = False
         verification = SKIPPED
         if not args.no_verify:
-            verified = verify_free(a, seed=args.seed)
+            verify_free(a, seed=args.seed)  # raises when it finds a corner
             verification = free_verification(a)
         report = {
             "family": "sphere",
@@ -134,11 +132,7 @@ def _cmd_construct(args) -> int:
             "size": len(a),
             "density": a.density,
             "fitted_c": fitted_c(args.n, len(a)),
-            "verified": verified,
-            "verification": verification,
         }
-        if verification == SAMPLED:
-            report.update(probes=VERIFY_PROBES, seed=args.seed)
     else:
         if args.base:
             base_points = load_skewset(args.base)
@@ -147,9 +141,8 @@ def _cmd_construct(args) -> int:
             from .search import find_base_set
 
             base = find_base_set(6)
-        verify = True if args.force_verify else None
-        a = product_construction(base, args.n, verify=verify)
-        verification = product_verification(args.n, verify)
+        a = product_construction(base, args.n, verify=args.force_verify)
+        verification = product_verification(args.n, args.force_verify)
         report = {
             "family": "product",
             "n": args.n,
@@ -158,9 +151,10 @@ def _cmd_construct(args) -> int:
             "k": product_exponent(base.b, args.n),
             "size": len(a),
             "density": a.density,
-            "verified": verification == EXHAUSTIVE,
-            "verification": verification,
         }
+    report.update(verified=verification != SKIPPED, verification=verification)
+    if verification == SAMPLED:
+        report.update(probes=VERIFY_PROBES, seed=args.seed)
     if args.out:
         save_skewset(a, args.out)
         report["out"] = args.out
@@ -223,12 +217,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .core import embed_torus, load_skewset
+    from .core import load_skewset
     from .fourier import check_gvn, dichotomy_report, parseval_bound, set_lambda_form
 
     a = load_skewset(args.infile)
     if args.check == "gvn":
-        g = check_gvn(a if a.ambient.kind == "torus" else embed_torus(a))
+        g = check_gvn(a)
         report = {
             "check": "gvn",
             "alpha": g.alpha,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -247,10 +247,11 @@ def _sphere_set(n: int, bi: bool) -> tuple[GridSet, SphereParams]:
         raise ParameterError(
             f"sphere set would have {count} points; refusing to materialize"
         )
+    amb = grid(n)  # refuses a side past MAX_SIDE before the pairs are found
     box = _box_points(params.m, params.d)
     ii, jj = _sphere_pairs(box, params.r, params.t, bi)
     phi = _embed_many(box, params.m)  # one key per box point
-    out = GridSet.from_arrays(phi[ii], phi[jj], grid(n))
+    out = GridSet.from_arrays(phi[ii], phi[jj], amb)
     if len(out) != count:
         raise FalsificationError(
             "digit embedding collapsed sphere pairs; phi not injective"
@@ -266,20 +267,18 @@ def product_exponent(b: int, n: int) -> int:
     return k
 
 
-def product_verification(n: int, verify: Optional[bool] = None) -> str:
+def product_verification(n: int, verify: bool = False) -> str:
     """How `product_construction` checks its output: exhaustively when
     n <= 64 or `verify` forces it, otherwise not at all."""
-    return EXHAUSTIVE if verify or (verify is None and n <= 64) else SKIPPED
+    return EXHAUSTIVE if verify or n <= 64 else SKIPPED
 
 
-def product_construction(
-    base: BaseSet, n: int, verify: Optional[bool] = None
-) -> GridSet:
+def product_construction(base: BaseSet, n: int, verify: bool = False) -> GridSet:
     """Digit-product set: all (x, y) in [b^k]^2 whose base-b digit pairs
     (of x-1 and y-1) all lie in the base set, with k = floor(log_b n).
 
     Output size is exactly len(base)^k.  Freeness of the output is checked
-    when n <= 64 (or when `verify=True` forces it).
+    when n <= 64 or `verify` forces it.
     """
     b = base.b
     if b < 2:
@@ -293,6 +292,7 @@ def product_construction(
         raise ParameterError(
             f"product set would have {s}^{k} points; refusing to materialize"
         )
+    amb = grid(n)  # refuses a side past MAX_SIDE before the keys are built
     # the keys (x - 1) * n + (y - 1) of the set, one digit per step, newest
     # digit fastest: memory stays O(s^k), and x, y <= b^k <= n by design.
     # Each round writes a fresh 1-D array, which owns its data and so
@@ -303,7 +303,7 @@ def product_construction(
         nxt = np.empty(key.size * s, dtype=np.int64)
         np.add(key[:, None], b**j * step, out=nxt.reshape(key.size, s))
         key = nxt
-    out = _from_keys(grid(n), key)
+    out = _from_keys(amb, key)
     if len(out) != len(base) ** k:
         raise FalsificationError("digit tuples collided; product size wrong")
     if product_verification(n, verify) == EXHAUSTIVE:

@@ -227,18 +227,20 @@ def make_grid_set(points: Iterable[tuple[int, int]], ambient: Ambient) -> GridSe
 
 
 def embed_torus(a: GridSet) -> GridSet:
-    """Reinterpret a grid set in [n]^2 as a subset of the torus (Z/2nZ)^2.
+    """Reinterpret a grid set in [n]^2 as a subset of the torus (Z/2nZ)^2;
+    a torus set is returned unchanged.
 
     Coordinates are kept verbatim (values 1..n are valid residues mod 2n);
     any fixed shift would be a translation and hence irrelevant to
     skew-corner-freeness.
     """
-    if a.ambient.kind != GRID:
-        raise ParameterError("embed_torus expects a grid-ambient set")
+    if a.ambient.kind == TORUS:
+        return a
     n = a.ambient.size
+    amb = torus(2 * n)  # refuses a side past MAX_SIDE before anything is built
     # grid column x = i + 1 becomes residue x; residues n+1..2n-1 are empty
     offsets = np.concatenate(([0], a.offsets, np.full(n - 1, len(a))))
-    return GridSet(torus(2 * n), offsets, a.ys)
+    return GridSet(amb, offsets, a.ys)
 
 
 TranslationMap = Union[int, Mapping[int, int], Sequence[int]]
@@ -489,7 +491,9 @@ def _points(block: bytes) -> np.ndarray | None:
 
 def _diagnose(block: bytes, amb: Ambient, errors: str) -> CoordinateError:
     """For a block `_points` refused: raise for its first bad line, else
-    return the error for its first point outside `amb`."""
+    return the error for its first point outside `amb`.  numpy refuses
+    only a bad line or a value beyond int64, which lies outside every
+    ambient (their sides are at most MAX_SIDE), so one of the two is found."""
     first = None
     for line in block.split(b"\n"):
         if not (line := line.strip(b" \t")):
@@ -500,9 +504,7 @@ def _diagnose(block: bytes, amb: Ambient, errors: str) -> CoordinateError:
         p = (int(m[1]), int(m[2]))
         if first is None and not (amb.in_range(p[0]) and amb.in_range(p[1])):
             first = CoordinateError(f"point {p} outside {amb}")
-    # every line reads and every point is in range, yet numpy refused a
-    # value: only an ambient wider than int64 gets here
-    return first or CoordinateError(f"a point of {amb} does not fit in int64")
+    return first
 
 
 def _first_repeat(

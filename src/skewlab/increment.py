@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GRID, GridSet, embed_torus, grid
+from .core import GRID, Ambient, GridSet, embed_torus, grid
 from .errors import FalsificationError, ParameterError
 from .fourier import (
     DEFAULT_TOL,
@@ -40,8 +40,6 @@ from .fourier import (
 from .verify import find_skew_corner
 
 SMALL_DENSITY = "small_density"
-ROW_PROGRESSION = "row_progression"
-COLUMN_PROGRESSION = "column_progression"
 SUBSQUARE = "subsquare"
 
 GUARANTEED = "guaranteed"
@@ -262,6 +260,15 @@ def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncremen
     return BlockIncrement(small_density=False, progression=best[1], density=best[0])
 
 
+def _band(
+    amb: Ambient, xs: np.ndarray, ys: np.ndarray, p: Progression, axis: str
+) -> GridSet:
+    """The points (xs, ys) whose x (axis "columns") or y (axis "rows") lies
+    on p, as a set in `amb`."""
+    keep = p.index(xs if axis == "columns" else ys) > 0
+    return GridSet.from_arrays(xs[keep], ys[keep], amb)
+
+
 def _column_extract(a: GridSet, p: Progression) -> GridSet:
     """Best horizontal shift: the first shift maximizing the points it
     brings onto the columns of p, then the shifted set restricted to them,
@@ -270,9 +277,7 @@ def _column_extract(a: GridSet, p: Progression) -> GridSet:
     N = t.ambient.size
     shift = int(_shift_scores(t.column_sizes(), p).argmax())
     xs, ys = a.coordinates()
-    xs = (xs - shift) % N
-    keep = p.index(xs) > 0
-    return GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
+    return _band(a.ambient, (xs - shift) % N, ys, p, "columns")
 
 
 def _row_extract(a: GridSet, p: Progression) -> GridSet:
@@ -289,9 +294,7 @@ def _row_extract(a: GridSet, p: Progression) -> GridSet:
     down[cols] = _shift_scores(rows, p).argmax(axis=1)
     # torus column x holds grid column x: the embedding keeps coordinates
     xs, ys = a.coordinates()
-    ys = (ys - down[xs]) % N
-    keep = p.index(ys) > 0
-    return GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
+    return _band(a.ambient, xs, (ys - down[xs]) % N, p, "rows")
 
 
 @dataclass(frozen=True)
@@ -430,9 +433,7 @@ def _subsquare_outcome(
 ) -> IncrementOutcome:
     """Cut the band of `a` on p (its columns for axis "columns", its rows
     for "rows"), pigeonhole it onto its densest square and package that."""
-    xs, ys = a.coordinates()
-    keep = p.index(xs if axis == "columns" else ys) > 0
-    band = GridSet.from_arrays(xs[keep], ys[keep], a.ambient)
+    band = _band(a.ambient, *a.coordinates(), p, axis)
     translate = pigeonhole_square(band, p, axis=axis).translate
     return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
 

@@ -295,11 +295,8 @@ def find_base_set(b: int) -> Optional[BaseSet]:
 
     Returns a BaseSet whenever the search exhibits one (a witness proves
     existence even if the tree was not fully explored), otherwise None.
+    `torus(b)` refuses b < 1 and the search b > MAX_AMBIENT.
     """
-    if b > MAX_AMBIENT:
-        raise CapabilityError(f"base modulus {b} exceeds {MAX_AMBIENT}")
-    if b < 1:
-        raise ParameterError("base modulus must be >= 1")
     res = max_skew_corner_free(torus(b), mode=SKEW)
     if res.best_size > b:
         from .construct import BaseSet

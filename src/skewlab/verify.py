@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import GRID, TORUS, Ambient, GridSet, Witness, embed_torus, transpose
+from .core import TORUS, Ambient, GridSet, Witness, embed_torus, transpose
 from .errors import CapabilityError, ParameterError, PrecisionError
 
 # Autocorrelation entries are integers <= N, so nearest-integer rounding of
@@ -224,8 +224,7 @@ def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     Rows are real, so each power spectrum holds the N // 2 + 1 frequencies
     0..N // 2 and P(a) = P(N - a) gives the rest.  Empty columns have a
     zero spectrum and are never transformed."""
-    if a.ambient.kind == GRID:
-        a = embed_torus(a)
+    a = embed_torus(a)
     check_fft_side(a.ambient.size)
     nonempty = np.flatnonzero(a.column_sizes())
     step = max(1, _BLOCK_ENTRIES // a.ambient.size)
@@ -241,7 +240,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     refer to the torus.  The total is sum_{x,d} c_x(d) |A_{x+d}| over the
     `column_power` blocks (see `autocorrelation_total`).
     """
-    t = embed_torus(a) if a.ambient.kind == GRID else a
+    t = embed_torus(a)
     sizes = t.column_sizes(out=np.empty(t.ambient.size))
     # sum_x |A_x|^2 <= N^3 < 2^53, so the float64 dot product is exact
     trivial = int(sizes @ sizes)
@@ -274,20 +273,27 @@ def autocorrelation_total(sizes: np.ndarray, cols: np.ndarray, power: np.ndarray
 def count_corners(a: GridSet) -> CornerCount:
     """Exact count of corner tuples (x, y, d): (x,y), (x+d,y), (x,y+d) in A.
 
-    Torus ambient only.  The d = 0 tuples are reported as `trivial`.
+    Torus ambient only.  The d = 0 tuples are reported as `trivial`.  The
+    pair y, y + d of column x, from `pair_targets`, is a corner when
+    (x + d, y) is in A, read from an N x N bool table, so the cost is the
+    column-pair work sum_x |A_x|^2 plus that table.
     """
     if a.ambient.kind != TORUS:
         raise ParameterError("count_corners expects a torus-ambient set")
     N = a.ambient.size
     if N > 1024:
         raise CapabilityError(
-            f"corner counting is cubic in the side; N={N} exceeds 1024"
+            f"corner counting holds an N x N bool table; N={N} exceeds 1024"
         )
-    trivial = len(a)
-    if trivial == 0:
-        return CornerCount(0, 0)
-    m = a.indicator_matrix(dtype=np.int64)
+    occ = a.indicator_matrix(dtype=bool).ravel()  # occ[x * N + y]
     total = 0
-    for d in range(N):
-        total += int((m * np.roll(m, -d, axis=0) * np.roll(m, -d, axis=1)).sum())
-    return CornerCount(trivial=trivial, nontrivial=total - trivial)
+    for _, ys, j0, t in pair_targets(a):
+        # row j of t holds the columns x + d of the pairs from y = ys[j0 + j];
+        # the flat index (x + d) * N + y wraps mod N^2 as x + d wraps mod N
+        t *= N
+        t += ys[j0 : j0 + len(t), None]
+        total += int(np.count_nonzero(occ.take(t, mode="wrap")))
+    # every pair d = 0 meets its own point, and so does a lone point, whose
+    # column `pair_targets` skips
+    lone = int(np.count_nonzero(a.column_sizes() == 1))
+    return CornerCount(trivial=len(a), nontrivial=total + lone - len(a))

@@ -191,6 +191,23 @@ def test_growth_guards_at_their_boundaries(capsys):
     assert peak.bytes < 2**20
 
 
+def test_ambients_past_the_side_limit_are_refused_before_allocating(capsys, tmp_path):
+    base = tmp_path / "base.txt"
+    sl.save_skewset(sl.make_grid_set([(0, 0), (0, 1)], sl.torus(64)), base)
+    runs = [("construct", "product", "--n", "1073741824", "--base", str(base))]
+    for side in ("1000000000", "100000000000000000000000"):
+        path = tmp_path / f"wide{len(side)}.txt"
+        path.write_text(f"skewset 1\nambient grid {side}\n1 1\n")
+        runs.append(("verify", "--in", str(path)))
+    for argv in runs:
+        start = time.perf_counter()
+        with peak_memory() as peak:
+            code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "exceeds the limit 134217728" in err
+        assert peak.bytes < 2**20
+
+
 def test_construct_sphere_refuses_above_the_point_limit(capsys, tmp_path):
     out_path = tmp_path / "big.txt"
     start = time.perf_counter()

@@ -61,6 +61,18 @@ def test_embed_torus_identity_on_coordinates():
     e = sl.embed_torus(a)
     assert e.ambient == sl.torus(4)
     assert list(e.points()) == [(1, 1)]
+    assert sl.embed_torus(e) is e
+
+
+def test_ambient_side_limit(monkeypatch):
+    assert sl.grid(sl.ambient.MAX_SIDE).size == 1 << 27
+    with pytest.raises(sl.CapabilityError, match="exceeds the limit"):
+        sl.torus(sl.ambient.MAX_SIDE + 1)
+    # the embedding doubles the side, so it is refused past half the limit
+    monkeypatch.setattr("skewlab.ambient.MAX_SIDE", 16)
+    sl.embed_torus(sl.make_grid_set([(1, 1)], sl.grid(8)))
+    with pytest.raises(sl.CapabilityError):
+        sl.embed_torus(sl.make_grid_set([(1, 1)], sl.grid(9)))
 
 
 def test_embed_torus_preserves_freeness_both_ways_exhaustive():

@@ -178,6 +178,13 @@ def test_gvn_holds_on_random_sets():
             assert rep.inequality_holds
 
 
+def test_gvn_embeds_grid_sets():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 7):
+        g = rand_grid_set(rng, n, 0.5)
+        assert sl.check_gvn(g) == sl.check_gvn(sl.embed_torus(g))
+
+
 def test_dichotomy_empty_and_diagonal():
     rep = sl.dichotomy_report(sl.make_grid_set([], sl.grid(8)))
     assert rep.branch == "i"

@@ -209,6 +209,10 @@ def test_capability_guard():
 
 def test_find_base_set_edge_cases():
     assert sl.find_base_set(1) is None
+    with pytest.raises(sl.ParameterError):
+        sl.find_base_set(0)
+    with pytest.raises(sl.CapabilityError):
+        sl.find_base_set(65)
     base = sl.find_base_set(6)
     assert base is not None
     assert len(base) > 6

@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -138,10 +139,24 @@ def test_count_corners_examples_and_oracle():
     single = sl.make_grid_set([(1, 2)], sl.torus(4))
     assert sl.count_corners(single) == sl.CornerCount(1, 0)
     rng = np.random.default_rng(17)
-    for N in (4, 8, 16):
-        a = rand_torus_set(rng, N, 0.4)
+    sets = [rand_torus_set(rng, N, 0.4) for N in (4, 8, 16)]
+    # lone points, whose columns the pair kernel skips, next to fuller columns
+    sets.append(sl.make_grid_set([(0, 0), (0, 3), (1, 0), (3, 2), (4, 0)], sl.torus(5)))
+    sets += [rand_torus_set(rng, N, 0.1) for N in (4, 8, 16)]
+    for a in sets:
         t, nt = brute_corner_tuples(a)
         assert sl.count_corners(a) == sl.CornerCount(t, nt)
+
+
+def test_count_corners_cost_is_the_pair_work():
+    # a sparse torus of side 1024: about 4 * 10^5 pairs against N^3 = 10^9
+    a = rand_torus_set(np.random.default_rng(18), 1024, 0.02)
+    start = time.perf_counter()
+    c = sl.count_corners(a)
+    assert time.perf_counter() - start < 1
+    assert c.trivial == len(a)
+    with pytest.raises(sl.CapabilityError, match="bool table"):
+        sl.count_corners(sl.make_grid_set([], sl.torus(1025)))
 
 
 def test_count_corners_requires_torus():
