@@ -47,6 +47,12 @@ class Ambient:
     def hi(self) -> int:
         return self.size if self.kind == GRID else self.size - 1
 
+    @property
+    def torus_side(self) -> int:
+        """Side of the torus the spectral paths work on: N for a torus, 2n
+        for the grid [n]^2, whose differences then never wrap."""
+        return self.size if self.kind == TORUS else 2 * self.size
+
     def in_range(self, v: int) -> bool:
         return self.lo <= v <= self.hi
 

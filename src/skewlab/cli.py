@@ -83,14 +83,10 @@ def _cmd_count(args) -> int:
     from .verify import count_skew_corners_fft, count_skew_corners_naive
 
     a = load_skewset(args.infile)
-    if args.method == "naive":
-        c = count_skew_corners_naive(a)
-        torus_counts = a.ambient.kind == "torus"
-        N = a.ambient.size
-    else:
-        c = count_skew_corners_fft(a)
-        torus_counts = True
-        N = a.ambient.size if a.ambient.kind == "torus" else 2 * a.ambient.size
+    naive = args.method == "naive"
+    c = count_skew_corners_naive(a) if naive else count_skew_corners_fft(a)
+    torus_counts = not naive or a.ambient.kind == "torus"
+    N = a.ambient.torus_side
     report = {
         **_jsonable(c),
         "total": c.total,
@@ -237,7 +233,7 @@ def _cmd_diagnose(args) -> int:
         report = {"check": "parseval", **_jsonable(parseval_bound(a))}
     else:
         lam, total = set_lambda_form(a)
-        N = a.ambient.size * (2 if a.ambient.kind == "grid" else 1)
+        N = a.ambient.torus_side
         report = {
             "check": "lambda",
             "lambda": lam,

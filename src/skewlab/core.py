@@ -237,7 +237,8 @@ def embed_torus(a: GridSet) -> GridSet:
     if a.ambient.kind == TORUS:
         return a
     n = a.ambient.size
-    amb = torus(2 * n)  # refuses a side past MAX_SIDE before anything is built
+    # refuses a side past MAX_SIDE before anything is built
+    amb = torus(a.ambient.torus_side)
     # grid column x = i + 1 becomes residue x; residues n+1..2n-1 are empty
     offsets = np.concatenate(([0], a.offsets, np.full(n - 1, len(a))))
     return GridSet(amb, offsets, a.ys)

@@ -18,13 +18,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GRID, GridSet, embed_torus
+from .core import GRID, GridSet
 from .errors import ConsistencyError, FalsificationError, ParameterError
 from .verify import (
     autocorrelation_total,
-    check_fft_side,
     column_power,
     count_skew_corners_fft,
+    fft_torus,
     find_skew_corner,
 )
 
@@ -66,8 +66,7 @@ class TwoDFunction:
     @staticmethod
     def indicator(a: GridSet) -> "TwoDFunction":
         """Indicator of a torus set (grid sets are embedded first)."""
-        a = embed_torus(a)
-        check_fft_side(a.ambient.size)
+        a = fft_torus(a)
         return TwoDFunction(a.ambient.size, a.indicator_matrix())
 
 
@@ -185,7 +184,7 @@ def set_lambda_form(a: GridSet) -> tuple[float, int]:
     the rfft half, weighted 1, 2, ..., 2, 1.  The two are checked as in
     `lambda_form`.  Returns the spectral value and the integer.
     """
-    t = embed_torus(a)
+    t = fft_torus(a)
     N = t.ambient.size
     sizes = t.column_sizes(out=np.empty(N))
     freqs = np.arange(N // 2 + 1)
@@ -229,7 +228,7 @@ def check_gvn(a: GridSet) -> GvnReport:
     balanced indicator, on a torus set or on a grid set embedded into the
     torus of side 2n.  A violation raises FalsificationError.
     """
-    a = embed_torus(a)
+    a = fft_torus(a)
     N = a.ambient.size
     alpha = len(a) / N**2
     lam = count_skew_corners_fft(a).total / N**4
@@ -260,7 +259,7 @@ def marginal_spectrum(a: GridSet) -> np.ndarray:
     of that block, so it comes from the column sizes alone.
     """
     n = a.ambient.size
-    t = embed_torus(a)
+    t = fft_torus(a)
     N = t.ambient.size
     marg = t.column_sizes() / N
     marg[a.ambient.lo : a.ambient.lo + n] -= len(a) / (n * N)
@@ -277,7 +276,7 @@ def cross_spectrum(a: GridSet) -> np.ndarray:
     |row-hat|^2 N/|A_x|: one power spectrum per nonempty column (see
     `verify.column_power`) serves both factors, and empty columns add 0.
     """
-    t = embed_torus(a)
+    t = fft_torus(a)
     sizes = t.column_sizes()
     N = sizes.size
     cross = np.zeros(N)
@@ -298,12 +297,12 @@ class DichotomyReport:
 
 
 def _require_free_grid(a: GridSet, who: str) -> None:
-    """Refuse, in this order, a set outside a grid, a grid whose embedded
-    torus side 2n passes the FFT cap, and a set with a skew corner: the
-    two cheap checks run before the scan of every column pair."""
+    """Refuse, in this order, a set outside a grid, a grid whose torus
+    side passes the FFT cap (`fft_torus`), and a set with a skew corner:
+    the two cheap checks run before the scan of every column pair."""
     if a.ambient.kind != GRID:
         raise ParameterError(f"{who} expects a grid-ambient set")
-    check_fft_side(2 * a.ambient.size)
+    fft_torus(a)
     w = find_skew_corner(a)
     if w is not None:
         raise ParameterError(f"{who} needs a skew-corner-free input: {w}")

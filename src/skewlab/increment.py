@@ -219,7 +219,7 @@ def vertical_linfty_increment(
     if a.ambient.kind != GRID:
         raise ParameterError("expected a grid-ambient set")
     n = a.ambient.size
-    N = 2 * n
+    N = a.ambient.torus_side
     alpha = len(a) / n**2
     if not 1 <= gamma <= N - 1:
         raise ParameterError(f"gamma={gamma} is not a nontrivial frequency")
@@ -245,7 +245,7 @@ def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncremen
     Clamps the target block length to >= 1, so it stays usable below the
     small-density guard (best-effort mode)."""
     n = a.ambient.size
-    N = 2 * n
+    N = a.ambient.torus_side
     alpha = len(a) / n**2
     Q = math.ceil(2 * math.sqrt(math.pi * n))
     length = max(1, int(config.c_prime * alpha * n / Q))
@@ -363,7 +363,7 @@ def _l2_route(
     b = np.sort(weights[1:])[::-1]
     beta = (config.C * alpha) ** power
     m = technical_select(b, beta, exponent / power, *route.select)
-    gamma_set = CharacterSet(2 * n, _top_frequencies(weights, m))
+    gamma_set = CharacterSet(a.ambient.torus_side, _top_frequencies(weights, m))
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
         return ProgressionIncrement(small_density=True, gamma_set=gamma_set)
@@ -565,7 +565,7 @@ def _above_floor(out: IncrementOutcome, floor: float) -> IncrementOutcome:
 def _best_effort_step(
     a: GridSet, alpha: float, config: AnalysisConfig
 ) -> IncrementOutcome:
-    n = a.ambient.size
+    n, N = a.ambient.size, a.ambient.torus_side
     candidates = _scan_candidates(a, alpha)
     spectrum = marginal_spectrum(a)
     cross = cross_spectrum(a)
@@ -584,14 +584,14 @@ def _best_effort_step(
 
     # L2 routes at a small sweep of character counts
     for m in (1, 2, 3):
-        if m > 2 * n - 1:
+        if m > N - 1:
             break
         for route, spec in ((_COLUMN_ROUTE, spectrum), (_ROW_ROUTE, cross)):
             weights = spec**route.power
             freqs = _top_frequencies(weights, m)
             if len(freqs) < m or weights[list(freqs)].max() <= 0:
                 continue
-            gamma_set = CharacterSet(2 * n, freqs)
+            gamma_set = CharacterSet(N, freqs)
             # the small-density guard is relaxed, but the progression must
             # still fit in [n]
             prog = _dirichlet_progression(gamma_set, alpha, n)

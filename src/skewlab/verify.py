@@ -20,12 +20,12 @@ from .errors import CapabilityError, ParameterError, PrecisionError
 # the float FFT path is exact as long as the residue stays tiny.
 FFT_RESIDUE_TOL = 1e-3
 
-# One side cap for every FFT and spectral path.  The paths on sets (the
-# count, the counting form, the cross spectrum and the increment's
-# subsquare scan) hold no N x N array; only the public dense helpers
-# `TwoDFunction`, `row_transforms` and `lambda_form` do, so the cap is a
-# time limit on sets.  Past it (embedded grids double n) the naive counter
-# is the right tool.
+# One side cap for every FFT and spectral path, read in one place: each
+# path embeds its set through `fft_torus`, which refuses past the cap
+# before anything of side N is built.  The paths on sets hold no N x N
+# array; only the public dense helpers `TwoDFunction`, `row_transforms`
+# and `lambda_form` do, so the cap is a time limit on sets.  Past it
+# (embedded grids double n) the naive counter is the right tool.
 MAX_FFT_SIDE = 4096
 
 # Indicator rows are transformed in blocks of this many entries (512 KiB
@@ -38,13 +38,17 @@ MAX_FFT_SIDE = 4096
 _BLOCK_ENTRIES = 1 << 15
 
 
-def check_fft_side(N: int) -> None:
-    """Refuse a torus side above MAX_FFT_SIDE, before anything is built."""
+def fft_torus(a: GridSet) -> GridSet:
+    """`embed_torus(a)`, refused when its torus side N passes MAX_FFT_SIDE.
+    Every FFT and spectral path embeds through here, so each refuses before
+    it builds anything of side N."""
+    N = a.ambient.torus_side
     if N > MAX_FFT_SIDE:
         raise CapabilityError(
             f"FFT and spectral paths are capped at side {MAX_FFT_SIDE}, "
             f"N={N} exceeds it (count_skew_corners_naive has no cap)"
         )
+    return embed_torus(a)
 
 
 @dataclass(frozen=True)
@@ -224,8 +228,7 @@ def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     Rows are real, so each power spectrum holds the N // 2 + 1 frequencies
     0..N // 2 and P(a) = P(N - a) gives the rest.  Empty columns have a
     zero spectrum and are never transformed."""
-    a = embed_torus(a)
-    check_fft_side(a.ambient.size)
+    a = fft_torus(a)
     nonempty = np.flatnonzero(a.column_sizes())
     step = max(1, _BLOCK_ENTRIES // a.ambient.size)
     for k in range(0, nonempty.size, step):
@@ -240,7 +243,7 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     refer to the torus.  The total is sum_{x,d} c_x(d) |A_{x+d}| over the
     `column_power` blocks (see `autocorrelation_total`).
     """
-    t = embed_torus(a)
+    t = fft_torus(a)
     sizes = t.column_sizes(out=np.empty(t.ambient.size))
     # sum_x |A_x|^2 <= N^3 < 2^53, so the float64 dot product is exact
     trivial = int(sizes @ sizes)

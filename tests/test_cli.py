@@ -323,6 +323,23 @@ def test_increment_refuses_above_the_cap(capsys, tmp_path):
     assert peak.bytes < 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--method", "fft"], ["diagnose", "--check", "lambda"]],
+    ids=["count-fft", "diagnose-lambda"],
+)
+def test_spectral_jobs_refuse_above_the_cap(capsys, tmp_path, argv):
+    # grid 2^17 embeds in a torus of side 2^18 > MAX_FFT_SIDE; loading the
+    # set takes its 1 MiB of offsets, and the refusal comes before the
+    # embedding's 2 MiB or any array of side 2^18
+    path = tmp_path / "wide.txt"
+    sl.save_skewset(sl.make_grid_set([(1, 1), (3, 2)], sl.grid(1 << 17)), path)
+    with peak_memory() as peak:
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+    assert code == 2 and out == "" and "capped at side 4096" in err
+    assert peak.bytes < 2 * 2**20
+
+
 def test_experiment_cli(capsys):
     code, out, _ = run_cli(
         capsys, "experiment", "product-set", "--beta", "1.0",

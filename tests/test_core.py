@@ -62,6 +62,11 @@ def test_embed_torus_identity_on_coordinates():
     assert e.ambient == sl.torus(4)
     assert list(e.points()) == [(1, 1)]
     assert sl.embed_torus(e) is e
+    # the torus side has one definition, on the ambient, and the embedding
+    # lands on it
+    assert sl.grid(5).torus_side == 10 and sl.torus(5).torus_side == 5
+    for s in (a, e):
+        assert sl.embed_torus(s).ambient.size == s.ambient.torus_side
 
 
 def test_ambient_side_limit(monkeypatch):

@@ -15,7 +15,7 @@ from conftest import (
     rand_torus_set,
     row_shift_definition,
 )
-from skewlab import verify
+from skewlab import fourier, verify
 from skewlab.increment import _row_extract
 
 
@@ -225,6 +225,50 @@ def test_refusals_come_before_the_corner_scan(monkeypatch, tmp_path, capsys, a, 
     ):
         assert cli.run(argv) == 2
         assert message in capsys.readouterr().err
+
+
+_SPECTRAL_PATHS = {
+    "count_skew_corners_fft": sl.count_skew_corners_fft,
+    "column_power": lambda a: next(verify.column_power(a)),
+    "set_lambda_form": sl.set_lambda_form,
+    "check_gvn": sl.check_gvn,
+    "parseval_bound": sl.parseval_bound,
+    "marginal_spectrum": fourier.marginal_spectrum,
+    "cross_spectrum": fourier.cross_spectrum,
+    "TwoDFunction.indicator": sl.TwoDFunction.indicator,
+}
+_GRID_SPECTRAL_PATHS = {
+    "vertical_linfty_increment": lambda a: sl.vertical_linfty_increment(a, 1),
+    "vertical_l2_increment": sl.vertical_l2_increment,
+    "horizontal_increment": sl.horizontal_increment,
+    "dichotomy_report": sl.dichotomy_report,
+    "increment_step": sl.increment_step,
+}
+
+
+@pytest.fixture(scope="module")
+def past_the_cap():
+    """Two-point sets whose torus side 2^21 passes MAX_FFT_SIDE."""
+    return {
+        "grid": sl.make_grid_set([(1, 1), (2, 3)], sl.grid(1 << 20)),
+        "torus": sl.make_grid_set([(0, 0), (1, 2)], sl.torus(1 << 21)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [("grid", p) for p in [*_SPECTRAL_PATHS, *_GRID_SPECTRAL_PATHS]]
+    + [("torus", p) for p in _SPECTRAL_PATHS],
+)
+def test_spectral_paths_refuse_before_building(past_the_cap, kind, path):
+    """Every FFT and spectral path refuses a side past the cap before it
+    builds anything of that side: one float64 array of side 2^21 alone
+    would take 16 MiB."""
+    call = {**_SPECTRAL_PATHS, **_GRID_SPECTRAL_PATHS}[path]
+    with peak_memory() as peak:
+        with pytest.raises(sl.CapabilityError, match="capped at side 4096"):
+            call(past_the_cap[kind])
+    assert peak.bytes < 2**20
 
 
 def test_dichotomy_on_construction_output():
