@@ -46,26 +46,20 @@ _EXPORTS = {
         "count_skew_corners_naive",
         "find_skew_corner",
         "is_bi_skew_corner_free",
-        "is_skew_corner_free",
     ),
     "construct": (
         "BaseSet",
         "GrowthRow",
         "SphereParams",
-        "bi_sphere_construction",
-        "freiman_embed",
         "growth_table",
         "product_construction",
         "sphere_construction",
-        "sphere_family",
         "verify_free",
     ),
     "search": (
         "SearchResult",
-        "STableRow",
         "find_base_set",
         "max_skew_corner_free",
-        "s_table",
     ),
     "fourier": (
         "AnalysisConfig",

@@ -102,7 +102,6 @@ def _cmd_construct(args) -> int:
         SKIPPED,
         VERIFY_PROBES,
         BaseSet,
-        bi_sphere_construction,
         fitted_c,
         free_verification,
         product_construction,
@@ -114,8 +113,7 @@ def _cmd_construct(args) -> int:
     from .core import load_skewset, save_skewset
 
     if args.family == "sphere":
-        build = bi_sphere_construction if args.bi else sphere_construction
-        a, params = build(args.n)
+        a, params = sphere_construction(args.n, bi=args.bi)
         verification = SKIPPED
         if not args.no_verify:
             verify_free(a, seed=args.seed)  # raises when it finds a corner

@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_POINTS, GridSet, _from_keys, grid, torus
+from .ambient import grid, torus
+from .core import MAX_POINTS, GridSet, _from_keys
 from .errors import CapabilityError, FalsificationError, ParameterError
 from .verify import find_skew_corner, sample_skew_corner
 
@@ -82,27 +83,16 @@ def integer_root(n: int, d: int) -> int:
     return r
 
 
-def freiman_embed(x: Sequence[int], m: int, d: int) -> int:
-    """Base-(2m) digit encoding of a point of [m]^d into [(2m)^d].
-
-    phi(x) = 1 + sum_j (2m)^(j-1) (x_j - 1).  Restricted to [m]^d this is a
-    Freiman isomorphism: digit sums never carry, so additive relations are
-    preserved in both directions.
-    """
-    if len(x) != d:
-        raise ParameterError(f"expected {d} coordinates, got {len(x)}")
-    for v in x:
-        if not 1 <= v <= m:
-            raise ParameterError(f"coordinate {v} outside [1, {m}]")
-    return 1 + sum((2 * m) ** j * (x[j] - 1) for j in range(d))
-
-
 def _box_points(m: int, d: int) -> np.ndarray:
     """All points of [m]^d as an (m^d, d) int array, lexicographic order."""
     return np.indices((m,) * d, dtype=np.int64).reshape(d, -1).T + 1
 
 
 def _embed_many(pts: np.ndarray, m: int) -> np.ndarray:
+    """Base-(2m) digit encoding of points of [m]^d (rows of `pts`) into
+    [(2m)^d]: phi(x) = 1 + sum_j (2m)^(j-1) (x_j - 1).  On [m]^d this is a
+    Freiman isomorphism: digit sums never carry, so additive relations are
+    preserved in both directions."""
     d = pts.shape[1]
     weights = (2 * m) ** np.arange(d, dtype=np.int64)
     return 1 + (pts - 1) @ weights
@@ -187,22 +177,6 @@ def _sphere_pairs(
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def sphere_family(
-    m: int, d: int, r: int, t: int, bi: bool = False
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Enumerate the pair set at (r, t): x on the sphere ||x||^2 = r (and y
-    too, if `bi`), with <x, y> = t.  Over all (r, t) in [d m^2]^2 the plain
-    family partitions [m]^d x [m]^d.
-    """
-    if m < 1 or d < 1:
-        raise ParameterError("need m >= 1 and d >= 1")
-    if not (1 <= r <= d * m * m and 1 <= t <= d * m * m):
-        raise ParameterError(f"(r, t) = ({r}, {t}) outside [1, {d * m * m}]^2")
-    box = _box_points(m, d)
-    xs, ys = (box[v].tolist() for v in _sphere_pairs(box, r, t, bi))
-    return [(tuple(x), tuple(y)) for x, y in zip(xs, ys)]
-
-
 def _choose_dimensions(n: int) -> tuple[int, int]:
     if n < 2:
         raise ParameterError("sphere construction needs n >= 2")
@@ -217,31 +191,19 @@ def _choose_dimensions(n: int) -> tuple[int, int]:
     return m, d
 
 
-def sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
+def sphere_construction(n: int, bi: bool = False) -> tuple[GridSet, SphereParams]:
     """Largest sphere pair set at the balanced choice of (m, d), embedded
-    into [n]^2.
+    into [n]^2 by the digit map of `_embed_many`.
 
-    Picks (r, t) by generating function (see `_sphere_params`); the
-    pigeonhole guarantees the winner has at least m^(2d-4)/d^2 pairs.
-    Ties broken by smallest (r, t).
+    Picks (r, t) by generating function (see `_sphere_params`), ties broken
+    by smallest (r, t); the pigeonhole guarantees the winner has at least
+    m^(2d-4)/d^2 pairs.  With `bi` both points lie on the same sphere: the
+    most popular squared radius r (at least m^(d-2)/d box points), then the
+    most popular inner product on it (at least m^(2d-6)/d^3 pairs).  That
+    pair set is symmetric under transposition, so it is
+    bi-skew-corner-free.  Raises FalsificationError if the embedding loses
+    a pair.
     """
-    return _sphere_set(n, bi=False)
-
-
-def bi_sphere_construction(n: int) -> tuple[GridSet, SphereParams]:
-    """Sphere construction with both points pinned to the same sphere.
-
-    Two-stage pigeonhole: first the most popular squared radius r (at least
-    m^(d-2)/d box points), then the most popular inner product among pairs
-    on that sphere (at least m^(2d-6)/d^3 pairs).  The pair set is symmetric
-    under transposition, so it is bi-skew-corner-free.
-    """
-    return _sphere_set(n, bi=True)
-
-
-def _sphere_set(n: int, bi: bool) -> tuple[GridSet, SphereParams]:
-    """Embed the pairs at `_sphere_params(n, bi)` into [n]^2 and check that
-    all `count` of them survive the embedding."""
     params, count = _sphere_params(n, bi)
     if count > MAX_POINTS:
         raise ParameterError(

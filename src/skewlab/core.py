@@ -1,8 +1,7 @@
 """The immutable point-set model, its symmetry operations and its file format.
 
 The ambient spaces (`Ambient`, `grid`, `torus`) live in `ambient`, which
-needs no numpy; they are imported here too, so `from .core import Ambient`
-still works.  Points are stored column-wise, since every algorithm in the
+needs no numpy.  Points are stored column-wise, since every algorithm in the
 package iterates over vertical slices: a GridSet keeps compressed sparse
 rows, one offsets array with an entry per column boundary and one array of
 y-values sorted within each column.  This module is the only one that
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Un
 
 import numpy as np
 
-from .ambient import GRID, TORUS, Ambient, grid, skewset_header, torus  # noqa: F401
+from .ambient import GRID, TORUS, Ambient, skewset_header, torus
 from .errors import CapabilityError, CoordinateError, FormatError, ParameterError
 
 

@@ -18,7 +18,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GRID, GridSet
+from .ambient import GRID
+from .core import GridSet
 from .errors import ConsistencyError, FalsificationError, ParameterError
 from .verify import (
     autocorrelation_total,

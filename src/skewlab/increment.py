@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GRID, Ambient, GridSet, embed_torus, grid
+from .ambient import GRID, Ambient, grid
+from .core import GridSet, embed_torus
 from .errors import FalsificationError, ParameterError
 from .fourier import (
     DEFAULT_TOL,

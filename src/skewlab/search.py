@@ -17,7 +17,10 @@ reaches an occupied column depends only on its reflected difference set
 and on the occupied columns shifted by size-1-p, so the search keeps, per
 such mask, the list of surviving pool positions and counts the rejected
 candidates between them by arithmetic.  The lists are found lazily, never
-further than the remaining budget reaches.
+further than the remaining budget reaches.  There is one pool per
+normalization, every candidate mask in a fixed order, and each survivor
+list streams it afresh from `_masks`: no pool is ever listed, since at
+size 64 it would not fit in memory.
 
 The search holds no arrays: it imports only `ambient` and `errors`, and a
 result keeps its witness as sorted (x, y) points, so a CLI search loads no
@@ -42,10 +45,6 @@ MAX_AMBIENT = 64
 DEFAULT_BUDGET = 10**8
 SKEW = "skew"
 BI_SKEW = "bi_skew"
-# Up to this size the candidate pools (2^size masks at most) are read from
-# cached tuples, which is faster to scan; larger pools are streamed afresh
-# for each survivor list, since listing them would not fit in memory.
-_TUPLE_MAX = 18
 # Survivor lists are kept for the whole search, until they hold this many
 # entries in all; then they are dropped and rebuilt as nodes need them.
 _CACHE_ENTRIES = 1 << 16
@@ -100,11 +99,6 @@ def _masks(size: int, force_bit0: bool) -> Iterator[int]:
         map(sum, combinations(bits, k), repeat(base))
         for k in range(len(bits), -base, -1)
     )
-
-
-@lru_cache(maxsize=8)
-def _mask_tuple(size: int, force_bit0: bool) -> tuple[int, ...]:
-    return tuple(_masks(size, force_bit0))
 
 
 def _shift(m: int, d: int, size: int, on_torus: bool) -> int:
@@ -169,8 +163,8 @@ def max_skew_corner_free(
     masks = [0] * size
     placed: list[tuple[int, int]] = []  # (position, mask) of nonempty columns
 
-    pool = _mask_tuple if size <= _TUPLE_MAX else _masks
-    # every nonempty mask, or every mask holding bit 0
+    # the pool streamed by `_masks`: every nonempty mask, or every mask
+    # holding bit 0
     pool_len = {False: (1 << size) - 1, True: 1 << size - 1}
     # survivor lists by the mask they must miss; -1 keys the first column
     cache: dict[int, _Survivors] = {}
@@ -214,7 +208,7 @@ def max_skew_corner_free(
             key = -1 if first else hit
             sv = cache.get(key)
             if sv is None:
-                sv = cache[key] = _Survivors(iter(pool(size, flag)), hit)
+                sv = cache[key] = _Survivors(_masks(size, flag), hit)
             found = sv.found
             k = 0
             while True:
@@ -303,22 +297,3 @@ def find_base_set(b: int) -> Optional[BaseSet]:
 
         return BaseSet(b, res.witness)
     return None
-
-
-@dataclass(frozen=True)
-class STableRow:
-    n: int
-    size: int
-    certified: bool
-
-
-def s_table(n_max: int) -> list[STableRow]:
-    """Certified maximum sizes for grids [1]^2 .. [n_max]^2.
-
-    Rows where the budget ran out are flagged non-certified.
-    """
-    rows = []
-    for n in range(1, n_max + 1):
-        res = max_skew_corner_free(Ambient("grid", n))
-        rows.append(STableRow(n=n, size=res.best_size, certified=res.optimal))
-    return rows

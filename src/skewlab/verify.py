@@ -13,7 +13,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import TORUS, Ambient, GridSet, Witness, embed_torus, transpose
+from .ambient import TORUS, Ambient
+from .core import GridSet, Witness, embed_torus, transpose
 from .errors import CapabilityError, ParameterError, PrecisionError
 
 # Autocorrelation entries are integers <= N, so nearest-integer rounding of
@@ -188,10 +189,6 @@ def sample_skew_corner(a: GridSet, probes: int, seed: int = 0) -> Optional[tuple
                 return i + a.ambient.lo, _lag_column(a.ambient, int(t[hit][0]))
         next_i, r = next(drawn, (None, 0))
     return None
-
-
-def is_skew_corner_free(a: GridSet) -> bool:
-    return find_skew_corner(a) is None
 
 
 def is_bi_skew_corner_free(a: GridSet) -> bool:

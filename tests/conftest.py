@@ -158,7 +158,7 @@ def reference_search(
     The library skips rejected candidates by arithmetic; this is the loop
     it must agree with on the optimum, the node count, the budget cut-off
     and the witness."""
-    from skewlab.search import _TUPLE_MAX, _diffs, _mask_tuple, _masks, _shift
+    from skewlab.search import _diffs, _masks, _shift
 
     size = ambient.size
     on_torus = ambient.kind == "torus"
@@ -172,12 +172,10 @@ def reference_search(
     masks = [0] * size
     placed: list[tuple[int, int]] = []
 
-    pool = _mask_tuple if size <= _TUPLE_MAX else _masks
-
     def candidates(p: int):
         if p == 0 and symmetry:
-            return pool(size, norm_first)
-        return itertools.chain(pool(size, norm_all), (0,))
+            return _masks(size, norm_first)
+        return itertools.chain(_masks(size, norm_all), (0,))
 
     class Exhausted(Exception):
         pass

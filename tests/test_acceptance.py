@@ -168,16 +168,15 @@ def test_criterion_08_dirichlet_and_progressions():
 
 def test_criterion_09_exact_search():
     t0 = time.perf_counter()
-    rows = sl.s_table(4)
-    assert rows[0].size == 1  # s(1)
-    assert rows[1].size == 2  # s(2), exhaustively confirmed in unit tests
-    assert all(r.certified for r in rows)
-    sizes = [r.size for r in rows]
+    rows = [sl.max_skew_corner_free(sl.grid(n)) for n in range(1, 5)]
+    assert rows[0].best_size == 1  # s(1)
+    assert rows[1].best_size == 2  # s(2), exhaustively confirmed in unit tests
+    assert all(r.optimal for r in rows)
+    sizes = [r.best_size for r in rows]
     assert sizes == sorted(sizes)
-    for r in rows:
-        if r.n >= 2:
-            built, _ = sl.sphere_construction(r.n)
-            assert r.size >= len(built)
+    for n, size in enumerate(sizes[1:], 2):
+        built, _ = sl.sphere_construction(n)
+        assert size >= len(built)
     for N in (3, 4, 5):
         sym = sl.max_skew_corner_free(sl.torus(N))
         plain = sl.max_skew_corner_free(sl.torus(N), symmetry=False)

@@ -2,10 +2,13 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,3 +556,22 @@ def test_every_public_name_resolves():
     assert set(sl.__all__) <= set(dir(sl))
     with pytest.raises(AttributeError):
         sl.no_such_name
+
+
+def test_readme_cli_lines_parse():
+    """Every `skewlab ...` line in the README's shell blocks parses with the
+    CLI's own parser, comments stripped; no command is run."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("skewlab ")
+    ]
+    assert lines
+    parser = cli._build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")

@@ -7,32 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
-from skewlab.construct import _sphere_params, free_verification
+from skewlab.construct import (
+    _box_points,
+    _embed_many,
+    _sphere_pairs,
+    _sphere_params,
+    free_verification,
+)
 from conftest import peak_memory, reference_sphere_params
 
 
+def _pairs(m, d, r, t, bi=False):
+    """The pair set at (r, t) as coordinate tuples, in `_sphere_pairs` order."""
+    box = _box_points(m, d)
+    xs = box.tolist()
+    return [
+        (tuple(xs[i]), tuple(xs[j]))
+        for i, j in zip(*(v.tolist() for v in _sphere_pairs(box, r, t, bi)))
+    ]
+
+
 def test_freiman_embed_examples():
-    assert sl.freiman_embed([5], 7, 1) == 5  # d=1 collapses to identity
-    assert sl.freiman_embed([1, 1, 1], 4, 3) == 1
-    assert sl.freiman_embed([2, 1], 2, 2) == 2
-    assert sl.freiman_embed([1, 2], 2, 2) == 5
-
-
-def test_freiman_embed_rejects_out_of_range():
-    with pytest.raises(sl.ParameterError):
-        sl.freiman_embed([0, 1], 2, 2)
-    with pytest.raises(sl.ParameterError):
-        sl.freiman_embed([3, 1], 2, 2)
-    with pytest.raises(sl.ParameterError):
-        sl.freiman_embed([1, 1], 2, 3)
+    assert _embed_many(np.array([[5]]), 7).tolist() == [5]  # d=1: identity
+    assert _embed_many(np.array([[1, 1, 1]]), 4).tolist() == [1]
+    assert _embed_many(np.array([[2, 1], [1, 2]]), 2).tolist() == [2, 5]
 
 
 def test_freiman_embed_injective_into_range():
     m, d = 3, 3
-    values = {
-        sl.freiman_embed(x, m, d)
-        for x in itertools.product(range(1, m + 1), repeat=d)
-    }
+    values = set(_embed_many(_box_points(m, d), m).tolist())
     assert len(values) == m**d
     assert min(values) == 1 and max(values) <= (2 * m) ** d
 
@@ -40,11 +43,8 @@ def test_freiman_embed_injective_into_range():
 def test_freiman_additive_structure_exhaustive():
     # phi(x) + phi(x') = phi(x'') + phi(x''') iff x + x' = x'' + x'''
     for m, d in ((2, 2), (3, 2), (2, 3), (3, 3)):
-        box = list(itertools.product(range(1, m + 1), repeat=d))
-        phi = {x: sl.freiman_embed(x, m, d) for x in box}
-        arr = np.array(box)
-        vals = np.array([phi[x] for x in box])
-        k = len(box)
+        arr = _box_points(m, d)
+        vals = _embed_many(arr, m)
         sums_phi = vals[:, None] + vals[None, :]
         sums_vec = arr[:, None, :] + arr[None, :, :]
         flat_phi = sums_phi.reshape(-1)
@@ -58,18 +58,17 @@ def test_freiman_additive_structure_exhaustive():
 
 
 def test_sphere_family_worked_example():
-    fam = sl.sphere_family(2, 2, 5, 4)
-    assert sorted(fam) == [((1, 2), (2, 1)), ((2, 1), (1, 2))]
+    assert sorted(_pairs(2, 2, 5, 4)) == [((1, 2), (2, 1)), ((2, 1), (1, 2))]
 
 
 def test_sphere_family_trivial_m1():
-    assert sl.sphere_family(1, 1, 1, 1) == [((1,), (1,))]
+    assert _pairs(1, 1, 1, 1) == [((1,), (1,))]
 
 
 def test_sphere_family_partition_identity():
     for m, d in ((2, 2), (3, 2)):
         total = sum(
-            len(sl.sphere_family(m, d, r, t))
+            len(_pairs(m, d, r, t))
             for r in range(1, d * m * m + 1)
             for t in range(1, d * m * m + 1)
         )
@@ -79,21 +78,18 @@ def test_sphere_family_partition_identity():
 def test_sphere_family_bi_subset_of_plain():
     for r in range(1, 9):
         for t in range(1, 9):
-            bi = set(sl.sphere_family(2, 2, r, t, bi=True))
-            plain = set(sl.sphere_family(2, 2, r, t))
-            assert bi <= plain
+            assert set(_pairs(2, 2, r, t, bi=True)) <= set(_pairs(2, 2, r, t))
 
 
 def test_sphere_family_sets_are_free_in_lattice():
     # spot-check: embedded family at (m, d) = (3, 2) has no skew corner
+    box = _box_points(3, 2)
+    phi = _embed_many(box, 3)
     for r, t in ((5, 6), (9, 9), (13, 12)):
-        fam = sl.sphere_family(3, 2, r, t)
-        if not fam:
+        ii, jj = _sphere_pairs(box, r, t, False)
+        if not ii.size:
             continue
-        pts = [
-            (sl.freiman_embed(x, 3, 2), sl.freiman_embed(y, 3, 2))
-            for x, y in fam
-        ]
+        pts = zip(phi[ii].tolist(), phi[jj].tolist())
         a = sl.make_grid_set(pts, sl.grid(36))
         assert sl.find_skew_corner(a) is None
 
@@ -119,7 +115,7 @@ def test_sphere_construction_deterministic():
 
 def test_bi_sphere_construction_desk_instance():
     # n = 64 selects d = 3, m = 2
-    a, params = sl.bi_sphere_construction(64)
+    a, params = sl.sphere_construction(64, bi=True)
     assert (params.m, params.d) == (2, 3)
     assert sl.is_bi_skew_corner_free(a)
     m, d = params.m, params.d
@@ -128,8 +124,8 @@ def test_bi_sphere_construction_desk_instance():
 
 def test_bi_sphere_equal_params_subset():
     plain, p = sl.sphere_construction(64)
-    bi_fam = set(sl.sphere_family(p.m, p.d, p.r, p.t, bi=True))
-    plain_fam = set(sl.sphere_family(p.m, p.d, p.r, p.t))
+    bi_fam = set(_pairs(p.m, p.d, p.r, p.t, bi=True))
+    plain_fam = set(_pairs(p.m, p.d, p.r, p.t))
     assert bi_fam <= plain_fam
 
 
@@ -233,10 +229,9 @@ def test_sphere_params_match_the_box_scan(bi):
 
 @pytest.mark.parametrize("bi", [False, True])
 def test_growth_sizes_match_built_sets(bi):
-    build = sl.bi_sphere_construction if bi else sl.sphere_construction
     ns = [2**e for e in range(2, 21)]
     for row in sl.growth_table(ns, bi=bi):
-        a, params = build(row.n)
+        a, params = sl.sphere_construction(row.n, bi=bi)
         assert (row.size, row.params) == (len(a), params), row.n
 
 
@@ -296,4 +291,4 @@ def test_sphere_family_matches_the_box_enumeration(m, d, bi):
                 for y in box
                 if (not bi or norm[y] == r) and sum(map(int.__mul__, x, y)) == t
             ]
-            assert sl.sphere_family(m, d, r, t, bi=bi) == want, (r, t)
+            assert _pairs(m, d, r, t, bi=bi) == want, (r, t)

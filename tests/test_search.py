@@ -120,8 +120,10 @@ def test_budgeted_search_runs_up_to_the_bitmask_limit(ambient, mode):
     # column, even though no leaf was reached
     assert res.best_size >= ambient.size
     assert len(res.witness) == res.best_size
-    free = sl.is_bi_skew_corner_free if mode == "bi_skew" else sl.is_skew_corner_free
-    assert free(res.witness)
+    if mode == "bi_skew":
+        assert sl.is_bi_skew_corner_free(res.witness)
+    else:
+        assert sl.find_skew_corner(res.witness) is None
 
 
 def _summary(res):
@@ -190,7 +192,7 @@ def test_budgeted_wide_search_scans_only_what_the_budget_reaches(ambient, mode):
 def test_searches_without_symmetry_breaking_confirm_grid7_and_bi_torus7():
     grid = sl.max_skew_corner_free(sl.grid(7), symmetry=False)
     assert grid.optimal and grid.best_size == 16
-    assert sl.is_skew_corner_free(grid.witness)
+    assert sl.find_skew_corner(grid.witness) is None
     bi = sl.max_skew_corner_free(sl.torus(7), mode="bi_skew", symmetry=False)
     assert bi.optimal and bi.best_size == 7
     assert sl.is_bi_skew_corner_free(bi.witness)
@@ -220,13 +222,13 @@ def test_find_base_set_edge_cases():
 
 
 def test_s_table_monotone_and_certified():
-    rows = sl.s_table(4)
-    assert [r.n for r in rows] == [1, 2, 3, 4]
-    assert rows[0].size == 1 and rows[1].size == 2
-    assert all(r.certified for r in rows)
-    sizes = [r.size for r in rows]
+    rows = [sl.max_skew_corner_free(sl.grid(n)) for n in range(1, 5)]
+    assert [r.ambient.size for r in rows] == [1, 2, 3, 4]
+    assert rows[0].best_size == 1 and rows[1].best_size == 2
+    assert all(r.optimal for r in rows)
+    sizes = [r.best_size for r in rows]
     assert sizes == sorted(sizes)
-    assert all(r.size <= r.n**2 for r in rows)
+    assert all(s <= n**2 for n, s in enumerate(sizes, 1))
 
 
 def test_witnesses_pass_oracle_modes():
