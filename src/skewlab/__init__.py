@@ -83,15 +83,10 @@ _EXPORTS = {
         "zeta_value",
     ),
     "increment": (
-        "BlockIncrement",
         "IncrementOutcome",
         "PigeonholeResult",
-        "ProgressionIncrement",
-        "horizontal_increment",
         "increment_step",
         "pigeonhole_square",
-        "vertical_l2_increment",
-        "vertical_linfty_increment",
     ),
     "experiment": (
         "ProductSetReport",

@@ -85,46 +85,6 @@ class PigeonholeResult:
     base_density: float
 
 
-@dataclass(frozen=True)
-class BlockIncrement:
-    """Result of the dominant-coefficient route: a progression of columns
-    on which the set is denser than (1 + 3 c') alpha, or a small-density
-    verdict."""
-
-    small_density: bool
-    progression: Optional[Progression] = None
-    density: float = 0.0
-
-
-@dataclass(frozen=True)
-class ProgressionIncrement:
-    """Result of an L2 route: characters, annihilating progression (absent
-    on the small-density verdict), and the extracted free set with its
-    density on the progression band."""
-
-    small_density: bool
-    gamma_set: CharacterSet
-    progression: Optional[Progression] = None
-    extracted: Optional[GridSet] = None
-    extracted_count: int = 0
-    band_area: int = 0
-
-    @property
-    def density(self) -> float:
-        return self.extracted_count / self.band_area if self.band_area else 0.0
-
-
-def _check_extraction_free(a: GridSet, extracted: GridSet) -> None:
-    """Extractions only move columns vertically, move the set horizontally
-    and restrict it, which preserves freeness, so a free input must yield a
-    free extraction."""
-    if find_skew_corner(a) is not None:
-        return
-    w = find_skew_corner(extracted)
-    if w is not None:
-        raise FalsificationError(f"extracted set contains a skew corner: {w}")
-
-
 def _top_frequencies(weights: np.ndarray, m: int) -> tuple[int, ...]:
     """The m nontrivial frequencies with the largest weights (ties to the
     smaller frequency)."""
@@ -209,42 +169,12 @@ def pigeonhole_square(
 # The three spectral routes
 # ---------------------------------------------------------------------------
 
-def vertical_linfty_increment(
-    a: GridSet, gamma: int, config: AnalysisConfig = AnalysisConfig()
-) -> BlockIncrement:
-    """Dominant-coefficient route: the column marginal of the balanced
-    function has |coefficient| >= 4 c' alpha at the nontrivial frequency
-    `gamma`, so some block of an approximating progression carries density
-    at least (1 + 3 c') alpha.  Applies to any grid set; freeness is not
-    needed because nothing is extracted here."""
-    if a.ambient.kind != GRID:
-        raise ParameterError("expected a grid-ambient set")
-    n = a.ambient.size
-    N = a.ambient.torus_side
-    alpha = len(a) / n**2
-    if not 1 <= gamma <= N - 1:
-        raise ParameterError(f"gamma={gamma} is not a nontrivial frequency")
-    spectrum = marginal_spectrum(a)
-    if spectrum[gamma] < 4 * config.c_prime * alpha - DEFAULT_TOL:
-        raise ParameterError(
-            f"coefficient {spectrum[gamma]:.4g} at gamma={gamma} is below "
-            f"4 c' alpha = {4 * config.c_prime * alpha:.4g}"
-        )
-    if alpha < (4 / config.c_prime) * math.sqrt(math.pi / n):
-        return BlockIncrement(small_density=True)
-    res = _best_block(a, gamma, config)
-    if res.density < (1 + 3 * config.c_prime) * alpha - DEFAULT_TOL:
-        raise FalsificationError(
-            f"block density {res.density:.6g} below the guaranteed "
-            f"(1+3c')alpha = {(1 + 3 * config.c_prime) * alpha:.6g}"
-        )
-    return res
-
-
-def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncrement:
-    """Densest block among the mod-q blocks approximating frequency gamma.
-    Clamps the target block length to >= 1, so it stays usable below the
-    small-density guard (best-effort mode)."""
+def _best_block(
+    a: GridSet, gamma: int, config: AnalysisConfig
+) -> tuple[Progression, float]:
+    """Densest block among the mod-q blocks approximating frequency gamma,
+    with its density.  Clamps the target block length to >= 1, so it stays
+    usable below the small-density guard (best-effort mode)."""
     n = a.ambient.size
     N = a.ambient.torus_side
     alpha = len(a) / n**2
@@ -252,13 +182,12 @@ def _best_block(a: GridSet, gamma: int, config: AnalysisConfig) -> BlockIncremen
     length = max(1, int(config.c_prime * alpha * n / Q))
     q = dirichlet([Fraction(gamma % N, N)], Q)
     sizes = a.column_sizes()
-    best: tuple[float, Optional[Progression]] = (-1.0, None)
-    for blk in _blocks_mod_q(n, q, length):
-        inside = int(sizes[[x - 1 for x in blk.elements()]].sum())
-        dens = inside / (n * blk.length)
-        if dens > best[0]:
-            best = (dens, blk)
-    return BlockIncrement(small_density=False, progression=best[1], density=best[0])
+
+    def density(blk: Progression) -> float:
+        return int(sizes[[x - 1 for x in blk.elements()]].sum()) / (n * blk.length)
+
+    best = max(_blocks_mod_q(n, q, length), key=density)  # the first densest
+    return best, density(best)
 
 
 def _band(
@@ -322,62 +251,47 @@ _COLUMN_ROUTE = _L2Route(
 _ROW_ROUTE = _L2Route(1.5, 1, (0.0, 4 / 3), _row_extract, "rows", "iv", Fraction(1, 4))
 
 
-def vertical_l2_increment(
-    a: GridSet, config: AnalysisConfig = AnalysisConfig()
-) -> Optional[ProgressionIncrement]:
-    """Column-progression route.  Requires heavy L2 mass of the column
-    marginal spectrum: sum of |coefficients|^(5/2) over nontrivial
-    frequencies at least (C alpha)^(5/2); returns None otherwise.
-
-    A horizontal shift preserves freeness, so for free inputs the extracted
-    set is free again (enforced); non-free inputs are allowed and skip that
-    check."""
-    return _l2_route(a, marginal_spectrum(a), _COLUMN_ROUTE, config)
-
-
-def horizontal_increment(
-    a: GridSet, config: AnalysisConfig = AnalysisConfig()
-) -> Optional[ProgressionIncrement]:
-    """Row-progression route.  Requires heavy L2 mass of the row spectra:
-    sum over nontrivial frequencies of (E_x |row-hat| |normalized-row-hat|)
-    ^(3/2) at least (C alpha)^(3/2); returns None otherwise.
-
-    A vertical shift per column preserves freeness, so for free inputs the
-    extracted set is free again (enforced)."""
-    return _l2_route(a, cross_spectrum(a), _ROW_ROUTE, config)
-
-
 def _l2_route(
-    a: GridSet, spectrum: np.ndarray, route: _L2Route, config: AnalysisConfig
-) -> Optional[ProgressionIncrement]:
-    """Run `route` on its spectrum; None when it does not open."""
-    if a.ambient.kind != GRID:
-        raise ParameterError("expected a grid-ambient set")
+    a: GridSet,
+    spectrum: np.ndarray,
+    route: _L2Route,
+    config: AnalysisConfig,
+    alpha: float,
+) -> Optional[IncrementOutcome]:
+    """Guaranteed mode's `route` on its spectrum: None when it stays closed,
+    a small-density outcome at the progression guard, else the densest
+    square of the extracted band, checked free and against the band bound
+    3 m^k alpha and the floor (1 + c') m^(1/6) alpha.  The opening test,
+    the characters and the guard read the set's density |A|/n^2; the
+    outcome and its bounds read the step's `alpha`."""
     n = a.ambient.size
-    alpha = len(a) / n**2
-    if alpha == 0:
-        return None
+    dens = len(a) / n**2
     exponent, power = route.exponent, route.power
-    if float((spectrum[1:] ** exponent).sum()) < (config.C * alpha) ** exponent:
+    c_alpha = config.C * dens
+    if float((spectrum[1:] ** exponent).sum()) < c_alpha**exponent:
         return None
     weights = spectrum**power
     b = np.sort(weights[1:])[::-1]
-    beta = (config.C * alpha) ** power
-    m = technical_select(b, beta, exponent / power, *route.select)
+    m = technical_select(b, c_alpha**power, exponent / power, *route.select)
     gamma_set = CharacterSet(a.ambient.torus_side, _top_frequencies(weights, m))
-    prog = annihilating_progression(gamma_set, alpha, n)
+    prog = annihilating_progression(gamma_set, dens, n)
     if prog is None:
-        return ProgressionIncrement(small_density=True, gamma_set=gamma_set)
-    extracted = route.extract(a, prog)
-    _check_extraction_free(a, extracted)
-    return ProgressionIncrement(
-        small_density=False,
-        gamma_set=gamma_set,
-        progression=prog,
-        extracted=extracted,
-        extracted_count=len(extracted),
-        band_area=prog.length * n,
-    )
+        return _small_density(alpha, n, "alpha n below the progression guard")
+    # the extraction moves columns vertically or the set horizontally and
+    # restricts it, which preserves freeness
+    band = route.extract(a, prog)
+    w = find_skew_corner(band)
+    if w is not None:
+        raise FalsificationError(f"extracted set contains a skew corner: {w}")
+    density = len(band) / (prog.length * n)
+    if density < 3 * m ** float(route.k) * alpha - DEFAULT_TOL:
+        raise FalsificationError(
+            f"{route.axis[:-1]}-band density {density:.6g} below "
+            f"3 m^({route.k}) alpha; configured C does not support the "
+            "guaranteed bound"
+        )
+    out = _subsquare_outcome(band, prog, route.axis, route.branch, gamma_set, alpha)
+    return _above_floor(out, (1 + config.c_prime) * m ** (1 / 6) * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -522,35 +436,28 @@ def _guaranteed_step(
     # then select the route
     _, spectrum, cross = _dichotomy(a)
     c_p = config.c_prime
-    # the L2 routes in order of preference; a route returns None when its
-    # mass is too low
+    # the L2 routes in order of preference, row (iv) before column (iii)
     for route, spec in ((_ROW_ROUTE, cross), (_COLUMN_ROUTE, spectrum)):
-        res = _l2_route(a, spec, route, config)
-        if res is None:
-            continue
-        if res.small_density:
-            return _small_density(alpha, n, "alpha n below the progression guard")
-        m = len(res.gamma_set)
-        if res.density < 3 * m ** float(route.k) * alpha - DEFAULT_TOL:
-            raise FalsificationError(
-                f"{route.axis[:-1]}-band density {res.density:.6g} below "
-                f"3 m^({route.k}) alpha; configured C does not support the "
-                "guaranteed bound"
-            )
-        out = _subsquare_outcome(
-            res.extracted, res.progression, route.axis, route.branch,
-            res.gamma_set, alpha,
-        )
-        return _above_floor(out, (1 + c_p) * m ** (1 / 6) * alpha)
+        out = _l2_route(a, spec, route, config, alpha)
+        if out is not None:
+            return out
+    # dominant coefficient (ii): some block of a progression approximating
+    # the top frequency carries density (1 + 3 c') |A|/n^2
     if float(spectrum[1:].max()) < 4 * c_p * alpha:
         raise FalsificationError(
             f"no spectral route opened at C={config.C}, c_prime={c_p}; "
             "constants too aggressive for this input"
         )
-    res = vertical_linfty_increment(a, _top_frequencies(spectrum, 1)[0], config)
-    if res.small_density:
+    dens = len(a) / n**2
+    if dens < (4 / c_p) * math.sqrt(math.pi / n):
         return _small_density(alpha, n, "alpha below the block guard")
-    out = _subsquare_outcome(a, res.progression, "columns", "ii", None, alpha)
+    block, density = _best_block(a, _top_frequencies(spectrum, 1)[0], config)
+    if density < (1 + 3 * c_p) * dens - DEFAULT_TOL:
+        raise FalsificationError(
+            f"block density {density:.6g} below the guaranteed "
+            f"(1+3c')alpha = {(1 + 3 * c_p) * dens:.6g}"
+        )
+    out = _subsquare_outcome(a, block, "columns", "ii", None, alpha)
     return _above_floor(out, (1 + c_p) * alpha)
 
 
@@ -573,7 +480,7 @@ def _best_effort_step(
 
     # dominant-coefficient blocks
     if len(spectrum) > 1 and spectrum[1:].max() > 0:
-        blk = _best_block(a, _top_frequencies(spectrum, 1)[0], config).progression
+        blk, _ = _best_block(a, _top_frequencies(spectrum, 1)[0], config)
         # at small n the Dirichlet bound Q > n can make a block span past [n]
         if blk.span <= n:
             candidates.append(

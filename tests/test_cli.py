@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -575,3 +576,19 @@ def test_readme_cli_lines_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {shlex.join(argv)}")
+
+
+def test_console_script_entry_point_exits_zero_on_version(monkeypatch, capsys):
+    """The `skewlab` console script named in pyproject.toml resolves to a
+    callable that prints the version and exits 0."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = tomllib.loads(pyproject)["project"]["scripts"]["skewlab"]
+    assert target == "skewlab.cli:main"
+    module, func = target.split(":")
+    main = getattr(importlib.import_module(module), func)
+    monkeypatch.setattr(sys, "argv", ["skewlab", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == sl.__version__

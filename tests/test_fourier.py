@@ -238,9 +238,6 @@ _SPECTRAL_PATHS = {
     "TwoDFunction.indicator": sl.TwoDFunction.indicator,
 }
 _GRID_SPECTRAL_PATHS = {
-    "vertical_linfty_increment": lambda a: sl.vertical_linfty_increment(a, 1),
-    "vertical_l2_increment": sl.vertical_l2_increment,
-    "horizontal_increment": sl.horizontal_increment,
     "dichotomy_report": sl.dichotomy_report,
     "increment_step": sl.increment_step,
 }

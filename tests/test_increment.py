@@ -6,10 +6,13 @@ import pytest
 import skewlab as sl
 from conftest import dense_square_scan, greedy_free_set, peak_memory, row_shift_definition
 from skewlab import fourier
-from skewlab.fourier import marginal_spectrum
+from skewlab.fourier import cross_spectrum, marginal_spectrum
 from skewlab.increment import (
+    _COLUMN_ROUTE,
+    _ROW_ROUTE,
     _column_extract,
     _guaranteed_step,
+    _l2_route,
     _row_extract,
     _scan_candidates,
 )
@@ -94,32 +97,37 @@ def test_pigeonhole_validates_band_and_span():
 # spectral routes
 # ---------------------------------------------------------------------------
 
-def test_linfty_requires_coefficient():
-    g = sl.make_grid_set([(1, 1), (5, 9), (9, 3)], sl.grid(16))
-    with pytest.raises(sl.ParameterError):
-        sl.vertical_linfty_increment(g, 1, sl.AnalysisConfig(c_prime=0.24))
-
-
 def test_linfty_small_density_guard_at_desk_scale():
+    # 32 full columns in [64]^2, with alpha forced to the set's density: no
+    # L2 route opens, and the top marginal coefficient opens the dominant-
+    # coefficient route for c' <= 0.03, whose block guard then reports small
+    # density, as alpha < (4/c') sqrt(pi/n) at this scale
     n = 64
     half = sl.make_grid_set(
         [(x, y) for x in range(1, n // 2 + 1) for y in range(1, n + 1)], sl.grid(n)
     )
-    cfg = sl.AnalysisConfig(C=64, c_prime=0.03)
     spec = marginal_spectrum(half)
-    gamma = int(np.argmax(spec[1:]) + 1)
-    assert spec[gamma] >= 4 * cfg.c_prime * half.density
-    res = sl.vertical_linfty_increment(half, gamma, cfg)
-    assert res.small_density  # alpha < (4/c') sqrt(pi/n) at this scale
+    for c_prime in (0.01, 0.02, 0.03):
+        assert spec[1:].max() >= 4 * c_prime * half.density
+        for C in (1, 2, 64):
+            out = _guaranteed_step(half, 0.5, sl.AnalysisConfig(C=C, c_prime=c_prime))
+            assert out.variant == "small_density" and out.branch == "i"
+            assert out.note == "alpha below the block guard"
+    # at c' = 0.05 the top coefficient stays below 4 c' alpha
+    assert spec[1:].max() < 4 * 0.05 * half.density
+    with pytest.raises(sl.FalsificationError, match="no spectral route opened"):
+        _guaranteed_step(half, 0.5, sl.AnalysisConfig(C=64, c_prime=0.05))
+
+
+def _routes(a: sl.GridSet) -> list:
+    """The two L2 routes of `a`, each with the spectrum it reads."""
+    return [(_COLUMN_ROUTE, marginal_spectrum(a)), (_ROW_ROUTE, cross_spectrum(a))]
 
 
 def test_l2_routes_none_when_hypothesis_fails():
     g = sl.make_grid_set([(1, 1), (5, 9), (9, 3)], sl.grid(16))
-    assert sl.vertical_l2_increment(g) is None
-    assert sl.horizontal_increment(g) is None
-    empty = sl.make_grid_set([], sl.grid(16))
-    assert sl.vertical_l2_increment(empty) is None
-    assert sl.horizontal_increment(empty) is None
+    for route, spec in _routes(g):
+        assert _l2_route(g, spec, route, sl.AnalysisConfig(), g.density) is None
 
 
 def test_shift_search_matches_definition():
@@ -160,9 +168,11 @@ def test_vertical_l2_fires_then_small_density_verdict():
     # a single full column has a flat marginal spectrum: the L2 hypothesis
     # holds at C=1, and the progression guard then reports small density
     col = sl.make_grid_set([(7, y) for y in range(1, 33)], sl.grid(32))
-    res = sl.vertical_l2_increment(col, sl.AnalysisConfig(C=1.0))
-    assert res is not None and res.small_density
-    assert len(res.gamma_set) >= 1
+    res = _l2_route(
+        col, marginal_spectrum(col), _COLUMN_ROUTE, sl.AnalysisConfig(C=1.0), col.density
+    )
+    assert res is not None and res.variant == "small_density"
+    assert res.note == "alpha n below the progression guard"
 
 
 def test_horizontal_fires_then_small_density_verdict():
@@ -171,8 +181,11 @@ def test_horizontal_fires_then_small_density_verdict():
         [(x, y) for x in range(1, 9) for y in (1, 17)], sl.grid(32)
     )
     assert sl.find_skew_corner(comb) is None
-    res = sl.horizontal_increment(comb, sl.AnalysisConfig(C=1.0))
-    assert res is not None and res.small_density
+    res = _l2_route(
+        comb, cross_spectrum(comb), _ROW_ROUTE, sl.AnalysisConfig(C=1.0), comb.density
+    )
+    assert res is not None and res.variant == "small_density"
+    assert res.note == "alpha n below the progression guard"
 
 
 def test_extraction_helpers_preserve_freeness():
@@ -282,15 +295,15 @@ def test_guaranteed_step_route_verdicts_above_eight_over_n():
     # read the set's own density
     comb = sl.make_grid_set([(x, y) for x in range(1, 9) for y in (1, 17)], sl.grid(32))
     at_one = sl.AnalysisConfig(C=1.0)
-    row = sl.horizontal_increment(comb, at_one)
-    assert row is not None and row.small_density  # the row route opens first
+    row = _l2_route(comb, cross_spectrum(comb), _ROW_ROUTE, at_one, 0.5)
+    assert row is not None and row.variant == "small_density"  # row opens first
     out = _guaranteed_step(comb, 0.5, at_one)
     assert out.variant == "small_density" and out.branch == "i"
     assert out.note == "alpha n below the progression guard"
     # at the default C no L2 route opens, and the marginal stays below
     # 4 c' alpha at the forced alpha
-    assert sl.horizontal_increment(comb) is None
-    assert sl.vertical_l2_increment(comb) is None
+    for route, spec in _routes(comb):
+        assert _l2_route(comb, spec, route, sl.AnalysisConfig(), 0.5) is None
     with pytest.raises(sl.FalsificationError, match="no spectral route opened"):
         _guaranteed_step(comb, 0.5, sl.AnalysisConfig())
 
