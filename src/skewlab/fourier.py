@@ -231,7 +231,7 @@ def check_gvn(a: GridSet) -> GvnReport:
     """
     a = fft_torus(a)
     N = a.ambient.size
-    alpha = len(a) / N**2
+    alpha = a.density
     lam = count_skew_corners_fft(a).total / N**4
     coeffs = marginal_spectrum(a)
     eta = float(coeffs[1:].max()) if N > 1 else 0.0
@@ -319,12 +319,11 @@ def dichotomy_report(a: GridSet) -> DichotomyReport:
 def _dichotomy(a: GridSet) -> tuple[DichotomyReport, np.ndarray, np.ndarray]:
     """`dichotomy_report` of a set that passed `_require_free_grid`,
     together with the marginal and cross spectra it was computed from."""
-    n = a.ambient.size
-    alpha = len(a) / n**2
+    alpha = a.density
     spectrum = marginal_spectrum(a)
     cross = cross_spectrum(a)
     lhs = float((spectrum[1:] * cross[1:]).sum())
-    thr_i = 8.0 / n
+    thr_i = 8.0 / a.ambient.size
     thr_ii = alpha**2 / 64
     if alpha <= thr_i:
         branch = "i"

@@ -177,9 +177,8 @@ def _best_block(
     usable below the small-density guard (best-effort mode)."""
     n = a.ambient.size
     N = a.ambient.torus_side
-    alpha = len(a) / n**2
     Q = math.ceil(2 * math.sqrt(math.pi * n))
-    length = max(1, int(config.c_prime * alpha * n / Q))
+    length = max(1, int(config.c_prime * a.density * n / Q))
     q = dirichlet([Fraction(gamma % N, N)], Q)
     sizes = a.column_sizes()
 
@@ -256,27 +255,23 @@ def _l2_route(
     spectrum: np.ndarray,
     route: _L2Route,
     config: AnalysisConfig,
-    alpha: float,
 ) -> Optional[IncrementOutcome]:
     """Guaranteed mode's `route` on its spectrum: None when it stays closed,
     a small-density outcome at the progression guard, else the densest
     square of the extracted band, checked free and against the band bound
-    3 m^k alpha and the floor (1 + c') m^(1/6) alpha.  The opening test,
-    the characters and the guard read the set's density |A|/n^2; the
-    outcome and its bounds read the step's `alpha`."""
-    n = a.ambient.size
-    dens = len(a) / n**2
+    3 m^k alpha and the floor (1 + c') m^(1/6) alpha."""
+    n, alpha = a.ambient.size, a.density
     exponent, power = route.exponent, route.power
-    c_alpha = config.C * dens
+    c_alpha = config.C * alpha
     if float((spectrum[1:] ** exponent).sum()) < c_alpha**exponent:
         return None
     weights = spectrum**power
     b = np.sort(weights[1:])[::-1]
     m = technical_select(b, c_alpha**power, exponent / power, *route.select)
     gamma_set = CharacterSet(a.ambient.torus_side, _top_frequencies(weights, m))
-    prog = annihilating_progression(gamma_set, dens, n)
+    prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
-        return _small_density(alpha, n, "alpha n below the progression guard")
+        return _small_density(a, "alpha n below the progression guard")
     # the extraction moves columns vertically or the set horizontally and
     # restricts it, which preserves freeness
     band = route.extract(a, prog)
@@ -353,13 +348,13 @@ def _subsquare_outcome(
     return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
 
 
-def _small_density(alpha: float, n: int, note: str) -> IncrementOutcome:
+def _small_density(a: GridSet, note: str) -> IncrementOutcome:
     return IncrementOutcome(
-        variant=SMALL_DENSITY, branch="i", alpha=alpha, n=n, note=note
+        variant=SMALL_DENSITY, branch="i", alpha=a.density, n=a.ambient.size, note=note
     )
 
 
-def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
+def _scan_candidates(a: GridSet) -> list[IncrementOutcome]:
     """Best difference-1 subsquares at a sweep of side lengths.
 
     The full square [n]^2 is always included, so the best-effort step always
@@ -393,7 +388,7 @@ def _scan_candidates(a: GridSet, alpha: float) -> list[IncrementOutcome]:
         out.append(
             _square_outcome(
                 a, Progression(int(sx[r]), 1, L), Progression(sy + 1, 1, L),
-                "columns", None, None, alpha, note="difference-1 subsquare scan",
+                "columns", None, None, a.density, note="difference-1 subsquare scan",
             )
         )
     return out
@@ -417,28 +412,24 @@ def increment_step(
     _require_free_grid(a, "increment machinery")
     if mode not in (GUARANTEED, BEST_EFFORT):
         raise ParameterError(f"unknown mode {mode!r}")
-    n = a.ambient.size
-    alpha = len(a) / n**2
     if len(a) == 0:
-        return _small_density(alpha, n, "empty input")
+        return _small_density(a, "empty input")
     if mode == GUARANTEED:
-        return _guaranteed_step(a, alpha, config)
-    return _best_effort_step(a, alpha, config)
+        return _guaranteed_step(a, config)
+    return _best_effort_step(a, config)
 
 
-def _guaranteed_step(
-    a: GridSet, alpha: float, config: AnalysisConfig
-) -> IncrementOutcome:
-    n = a.ambient.size
+def _guaranteed_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
+    n, alpha = a.ambient.size, a.density
     if alpha <= 8 / n:
-        return _small_density(alpha, n, "alpha <= 8/n")
+        return _small_density(a, "alpha <= 8/n")
     # the dichotomy is a falsification check that must pass; its spectra
     # then select the route
     _, spectrum, cross = _dichotomy(a)
     c_p = config.c_prime
     # the L2 routes in order of preference, row (iv) before column (iii)
     for route, spec in ((_ROW_ROUTE, cross), (_COLUMN_ROUTE, spectrum)):
-        out = _l2_route(a, spec, route, config, alpha)
+        out = _l2_route(a, spec, route, config)
         if out is not None:
             return out
     # dominant coefficient (ii): some block of a progression approximating
@@ -448,14 +439,13 @@ def _guaranteed_step(
             f"no spectral route opened at C={config.C}, c_prime={c_p}; "
             "constants too aggressive for this input"
         )
-    dens = len(a) / n**2
-    if dens < (4 / c_p) * math.sqrt(math.pi / n):
-        return _small_density(alpha, n, "alpha below the block guard")
+    if alpha < (4 / c_p) * math.sqrt(math.pi / n):
+        return _small_density(a, "alpha below the block guard")
     block, density = _best_block(a, _top_frequencies(spectrum, 1)[0], config)
-    if density < (1 + 3 * c_p) * dens - DEFAULT_TOL:
+    if density < (1 + 3 * c_p) * alpha - DEFAULT_TOL:
         raise FalsificationError(
             f"block density {density:.6g} below the guaranteed "
-            f"(1+3c')alpha = {(1 + 3 * c_p) * dens:.6g}"
+            f"(1+3c')alpha = {(1 + 3 * c_p) * alpha:.6g}"
         )
     out = _subsquare_outcome(a, block, "columns", "ii", None, alpha)
     return _above_floor(out, (1 + c_p) * alpha)
@@ -470,11 +460,9 @@ def _above_floor(out: IncrementOutcome, floor: float) -> IncrementOutcome:
     return out
 
 
-def _best_effort_step(
-    a: GridSet, alpha: float, config: AnalysisConfig
-) -> IncrementOutcome:
-    n, N = a.ambient.size, a.ambient.torus_side
-    candidates = _scan_candidates(a, alpha)
+def _best_effort_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
+    n, N, alpha = a.ambient.size, a.ambient.torus_side, a.density
+    candidates = _scan_candidates(a)
     spectrum = marginal_spectrum(a)
     cross = cross_spectrum(a)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import skewlab as sl
-from conftest import EIGHT_POINTS, greedy_free_set
+from conftest import EIGHT_POINTS, composition_2040, greedy_free_set
 
 SEED = 20240509
 
@@ -97,10 +97,13 @@ def test_criterion_05_dichotomy():
         inputs.append(sl.sphere_construction(n)[0])
     base = sl.find_base_set(6)
     inputs.append(sl.product_construction(base, 6))
+    inputs.append(composition_2040())
     for a in inputs:
         assert sl.find_skew_corner(a) is None
         rep = sl.dichotomy_report(a)  # raises FalsificationError if neither
         assert rep.branch in ("i", "ii")
+    # the last input, the composition, is the one past the small-density guard
+    assert a.density > 8 / a.ambient.size and rep.branch == "ii"
     _ok(5, f"dichotomy verified on {len(inputs)} free sets")
 
 

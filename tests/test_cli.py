@@ -21,6 +21,7 @@ from skewlab import cli
 from conftest import (
     EIGHT_POINTS,
     brute_skew_tuples,
+    composition_2040,
     peak_memory,
     rand_grid_set,
     rand_torus_set,
@@ -258,6 +259,33 @@ def test_diagnose_dichotomy_grid(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "diagnose", "--in", str(path), "--check", "dichotomy")
     assert code == 0
     assert json.loads(out)["branch"] in ("i", "ii")
+
+
+@pytest.fixture(scope="module")
+def comp_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("comp") / "comp.txt"
+    sl.save_skewset(composition_2040(), path)
+    return str(path)
+
+
+def test_diagnose_dichotomy_branch_ii_on_the_composition(capsys, comp_file):
+    code, out, _ = run_cli(capsys, "diagnose", "--in", comp_file, "--check", "dichotomy")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["branch"] == "ii" and rep["alpha"] > rep["small_density_threshold"]
+
+
+def test_increment_best_effort_past_the_guard(capsys, comp_file, tmp_path):
+    # the composition's best step is the difference-1 subsquare of side 1020
+    out_path = tmp_path / "inc.txt"
+    code, out, _ = run_cli(capsys, "increment", "--in", comp_file, "--out", str(out_path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["nprime"] == 1020
+    assert rep["density"] >= (1 + sl.AnalysisConfig().c_prime) * rep["alpha"]
+    extracted = sl.load_skewset(out_path)
+    assert extracted.ambient == sl.grid(1020)
+    assert sl.find_skew_corner(extracted) is None
 
 
 def test_increment_json_keys(capsys, tmp_path):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import skewlab as sl
-from conftest import dense_square_scan, greedy_free_set, peak_memory, row_shift_definition
+from conftest import (
+    composition_2040,
+    dense_square_scan,
+    greedy_free_set,
+    peak_memory,
+    row_shift_definition,
+)
 from skewlab import fourier
 from skewlab.fourier import cross_spectrum, marginal_spectrum
 from skewlab.increment import (
@@ -98,8 +104,8 @@ def test_pigeonhole_validates_band_and_span():
 # ---------------------------------------------------------------------------
 
 def test_linfty_small_density_guard_at_desk_scale():
-    # 32 full columns in [64]^2, with alpha forced to the set's density: no
-    # L2 route opens, and the top marginal coefficient opens the dominant-
+    # 32 full columns in [64]^2 (not free, so the step is called directly):
+    # no L2 route opens, and the top marginal coefficient opens the dominant-
     # coefficient route for c' <= 0.03, whose block guard then reports small
     # density, as alpha < (4/c') sqrt(pi/n) at this scale
     n = 64
@@ -110,13 +116,13 @@ def test_linfty_small_density_guard_at_desk_scale():
     for c_prime in (0.01, 0.02, 0.03):
         assert spec[1:].max() >= 4 * c_prime * half.density
         for C in (1, 2, 64):
-            out = _guaranteed_step(half, 0.5, sl.AnalysisConfig(C=C, c_prime=c_prime))
+            out = _guaranteed_step(half, sl.AnalysisConfig(C=C, c_prime=c_prime))
             assert out.variant == "small_density" and out.branch == "i"
             assert out.note == "alpha below the block guard"
     # at c' = 0.05 the top coefficient stays below 4 c' alpha
     assert spec[1:].max() < 4 * 0.05 * half.density
     with pytest.raises(sl.FalsificationError, match="no spectral route opened"):
-        _guaranteed_step(half, 0.5, sl.AnalysisConfig(C=64, c_prime=0.05))
+        _guaranteed_step(half, sl.AnalysisConfig(C=64, c_prime=0.05))
 
 
 def _routes(a: sl.GridSet) -> list:
@@ -127,7 +133,7 @@ def _routes(a: sl.GridSet) -> list:
 def test_l2_routes_none_when_hypothesis_fails():
     g = sl.make_grid_set([(1, 1), (5, 9), (9, 3)], sl.grid(16))
     for route, spec in _routes(g):
-        assert _l2_route(g, spec, route, sl.AnalysisConfig(), g.density) is None
+        assert _l2_route(g, spec, route, sl.AnalysisConfig()) is None
 
 
 def test_shift_search_matches_definition():
@@ -168,9 +174,7 @@ def test_vertical_l2_fires_then_small_density_verdict():
     # a single full column has a flat marginal spectrum: the L2 hypothesis
     # holds at C=1, and the progression guard then reports small density
     col = sl.make_grid_set([(7, y) for y in range(1, 33)], sl.grid(32))
-    res = _l2_route(
-        col, marginal_spectrum(col), _COLUMN_ROUTE, sl.AnalysisConfig(C=1.0), col.density
-    )
+    res = _l2_route(col, marginal_spectrum(col), _COLUMN_ROUTE, sl.AnalysisConfig(C=1.0))
     assert res is not None and res.variant == "small_density"
     assert res.note == "alpha n below the progression guard"
 
@@ -181,9 +185,7 @@ def test_horizontal_fires_then_small_density_verdict():
         [(x, y) for x in range(1, 9) for y in (1, 17)], sl.grid(32)
     )
     assert sl.find_skew_corner(comb) is None
-    res = _l2_route(
-        comb, cross_spectrum(comb), _ROW_ROUTE, sl.AnalysisConfig(C=1.0), comb.density
-    )
+    res = _l2_route(comb, cross_spectrum(comb), _ROW_ROUTE, sl.AnalysisConfig(C=1.0))
     assert res is not None and res.variant == "small_density"
     assert res.note == "alpha n below the progression guard"
 
@@ -284,28 +286,37 @@ def test_a_step_makes_at_most_one_column_power_pass(monkeypatch):
     sl.increment_step(a, mode="guaranteed")
     assert len(calls) <= 1
     calls.clear()
-    comb = sl.make_grid_set([(x, y) for x in range(1, 9) for y in (1, 17)], sl.grid(32))
-    _guaranteed_step(comb, 0.5, sl.AnalysisConfig(C=1.0))
+    out = sl.increment_step(composition_2040(), sl.AnalysisConfig(C=1.0), "guaranteed")
+    assert out.note == "alpha n below the progression guard"  # in the route loop
     assert len(calls) == 1
 
 
 def test_guaranteed_step_route_verdicts_above_eight_over_n():
-    # every free set within the FFT cap has alpha <= 8/n, so the route loop
-    # is reached only with alpha forced above that guard; the routes still
-    # read the set's own density
-    comb = sl.make_grid_set([(x, y) for x in range(1, 9) for y in (1, 17)], sl.grid(32))
+    # the composition of the committed witnesses is free with alpha above
+    # 8/n, so the step passes the dichotomy and reaches the route loop
+    comp = composition_2040()
+    n = comp.ambient.size
+    assert sl.find_skew_corner(comp) is None
+    assert len(comp) == 18_081 and comp.density > 8 / n
     at_one = sl.AnalysisConfig(C=1.0)
-    row = _l2_route(comb, cross_spectrum(comb), _ROW_ROUTE, at_one, 0.5)
+    row = _l2_route(comp, cross_spectrum(comp), _ROW_ROUTE, at_one)
     assert row is not None and row.variant == "small_density"  # row opens first
-    out = _guaranteed_step(comb, 0.5, at_one)
+    out = sl.increment_step(comp, at_one, "guaranteed")
     assert out.variant == "small_density" and out.branch == "i"
     assert out.note == "alpha n below the progression guard"
-    # at the default C no L2 route opens, and the marginal stays below
-    # 4 c' alpha at the forced alpha
-    for route, spec in _routes(comb):
-        assert _l2_route(comb, spec, route, sl.AnalysisConfig(), 0.5) is None
-    with pytest.raises(sl.FalsificationError, match="no spectral route opened"):
-        _guaranteed_step(comb, 0.5, sl.AnalysisConfig())
+    # past C = 1 no L2 route opens; the top marginal coefficient opens the
+    # dominant-coefficient route for these c', and its block guard stops it
+    for route, spec in _routes(comp):
+        assert _l2_route(comp, spec, route, sl.AnalysisConfig(C=2.0)) is None
+    for C, c_prime in ((2, 0.01), (4, 0.02), (8, 0.01)):
+        cfg = sl.AnalysisConfig(C=C, c_prime=c_prime)
+        out = sl.increment_step(comp, cfg, "guaranteed")
+        assert out.variant == "small_density" and out.branch == "i"
+        assert out.note == "alpha below the block guard"
+    # at c' = 0.05 the top coefficient stays below 4 c' alpha
+    for C in (2, 64):
+        with pytest.raises(sl.FalsificationError, match="no spectral route opened"):
+            sl.increment_step(comp, sl.AnalysisConfig(C=C, c_prime=0.05), "guaranteed")
 
 
 def test_increment_deterministic():
@@ -347,7 +358,7 @@ def test_increment_best_effort_at_the_cap_memory_and_time():
     ys = np.random.default_rng(14).integers(1, n + 1, n)
     b = sl.GridSet.from_arrays(np.arange(1, n + 1), ys, sl.grid(n))
     with peak_memory() as scan:
-        _scan_candidates(b, b.density)
+        _scan_candidates(b)
     assert scan.bytes <= 80 * 2**20
     # the rest of the step stays below the scan: the row shifts' indicator
     # and scores once were two nnz x N int64 arrays, 128 MiB here
@@ -373,7 +384,7 @@ def test_scan_matches_dense_reference():
             continue
         got = [
             (c.n_prime, c.progression.start, c.translate.start)
-            for c in _scan_candidates(a, a.density)
+            for c in _scan_candidates(a)
         ]
         want = dense_square_scan(a)
         assert got == want

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -6,7 +7,21 @@ import pytest
 
 import skewlab as sl
 from skewlab import search
-from conftest import brute_max_free, peak_memory, reference_search
+from conftest import DATA, brute_max_free, peak_memory, reference_search
+
+
+def test_committed_witnesses_are_free_and_named_by_content():
+    # every file in tests/data is `<kind><side>-<count>.txt` and holds a
+    # free set of exactly that ambient and size
+    files = sorted(DATA.iterdir())
+    assert files
+    for path in files:
+        m = re.fullmatch(r"(grid|torus)(\d+)-(\d+)\.txt", path.name)
+        assert m, path.name
+        a = sl.load_skewset(path)
+        assert a.ambient == sl.Ambient(m[1], int(m[2])), path.name
+        assert len(a) == int(m[3]), path.name
+        assert sl.find_skew_corner(a) is None, path.name
 
 
 def test_grid_trivial_and_exhaustive_oracle():
