@@ -123,19 +123,23 @@ class GridSet:
         return len(self) / self.ambient.size**2
 
     def indicator_matrix(
-        self, dtype=np.float64, cols: np.ndarray | None = None
+        self, dtype=np.float64, cols: np.ndarray | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Matrix M with M[j, y - lo] = 1 on the points of column cols[j] + lo,
-        one row per index in `cols`; all size columns in order when None."""
+        one row per index in `cols`; all size columns in order when None.
+        Written into `out` when given, in its dtype."""
         cols = np.arange(self.ambient.size) if cols is None else cols
         counts = self.column_sizes()[cols]
         rows = np.repeat(np.arange(counts.size), counts)
         # positions in `ys` of the chosen columns' points, column by column
         at = np.repeat(self.offsets[cols] - np.cumsum(counts) + counts, counts)
         at += np.arange(at.size)
-        m = np.zeros((counts.size, self.ambient.size), dtype=dtype)
-        m[rows, self.ys[at] - self.ambient.lo] = 1
-        return m
+        if out is None:
+            out = np.zeros((counts.size, self.ambient.size), dtype=dtype)
+        else:
+            out.fill(0)
+        out[rows, self.ys[at] - self.ambient.lo] = 1
+        return out
 
     @staticmethod
     def from_arrays(xs: np.ndarray, ys: np.ndarray, ambient: Ambient) -> "GridSet":

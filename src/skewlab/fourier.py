@@ -194,12 +194,13 @@ def set_lambda_form(a: GridSet) -> tuple[float, int]:
     total = 0
     re = np.zeros(freqs.size)  # sum_x P_x(a) e(-ax/N) = re - i im
     im = np.zeros(freqs.size)
-    for cols, power in column_power(t):
-        total += autocorrelation_total(sizes, cols, power)
+    for cols, power, work in column_power(t):
         at = np.multiply.outer(cols, freqs)
         at %= N
         re += np.einsum("xa,xa->a", power, cos[at])
         im += np.einsum("xa,xa->a", power, sin[at])
+        del at  # not held through the next block's transform
+        total += autocorrelation_total(sizes, cols, power, work)  # overwrites power
     s = np.fft.rfft(sizes)
     weight = np.full(freqs.size, 2.0)
     weight[0] = 1
@@ -282,7 +283,7 @@ def cross_spectrum(a: GridSet) -> np.ndarray:
     N = sizes.size
     cross = np.zeros(N)
     half = cross[: N // 2 + 1]
-    for cols, power in column_power(t):
+    for cols, power, _ in column_power(t):
         half += (power / sizes[cols, None]).sum(axis=0)
     cross[N // 2 + 1 :] = half[1 : N - N // 2][::-1]  # P(a) = P(N - a)
     return cross / N**2

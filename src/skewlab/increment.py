@@ -56,7 +56,8 @@ class IncrementOutcome:
     copy P' forming the subsquare.  `branch` labels the route: "i" small
     density, "ii" dominant coefficient, "iii" column progression, "iv" row
     progression, or None for the plain subsquare scan used in best-effort
-    mode.  Densities are exact ratios extracted_count / box_area.
+    mode; a small-density stop at a route's guard keeps that route's label.
+    Densities are exact ratios extracted_count / box_area.
     """
 
     variant: str
@@ -271,7 +272,7 @@ def _l2_route(
     gamma_set = CharacterSet(a.ambient.torus_side, _top_frequencies(weights, m))
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
-        return _small_density(a, "alpha n below the progression guard")
+        return _small_density(a, "alpha n below the progression guard", route.branch)
     # the extraction moves columns vertically or the set horizontally and
     # restricts it, which preserves freeness
     band = route.extract(a, prog)
@@ -348,9 +349,11 @@ def _subsquare_outcome(
     return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
 
 
-def _small_density(a: GridSet, note: str) -> IncrementOutcome:
+def _small_density(a: GridSet, note: str, branch: str = "i") -> IncrementOutcome:
+    """A small-density stop: branch "i" when alpha <= 8/n or the input is
+    empty, else the branch of the route whose guard stopped it."""
     return IncrementOutcome(
-        variant=SMALL_DENSITY, branch="i", alpha=a.density, n=a.ambient.size, note=note
+        variant=SMALL_DENSITY, branch=branch, alpha=a.density, n=a.ambient.size, note=note
     )
 
 
@@ -440,7 +443,7 @@ def _guaranteed_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
             "constants too aggressive for this input"
         )
     if alpha < (4 / c_p) * math.sqrt(math.pi / n):
-        return _small_density(a, "alpha below the block guard")
+        return _small_density(a, "alpha below the block guard", "ii")
     block, density = _best_block(a, _top_frequencies(spectrum, 1)[0], config)
     if density < (1 + 3 * c_p) * alpha - DEFAULT_TOL:
         raise FalsificationError(

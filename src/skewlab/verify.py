@@ -9,7 +9,7 @@ indicator; on a grid all arithmetic stays in Z (no wraparound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -30,12 +30,11 @@ FFT_RESIDUE_TOL = 1e-3
 MAX_FFT_SIDE = 4096
 
 # Indicator rows are transformed in blocks of this many entries (512 KiB
-# as complex).  Each block's temporaries are freed before the next block;
-# kept this small, the allocator reuses their pages instead of returning
-# them to the system and faulting them in again.  glibc raises its mmap
-# and trim thresholds only after freeing a larger block, and the reader
-# frees none: at 2^16 entries `count --method fft` on the torus 4096 at
-# 1/50 took 93 000 page faults, at 2^15 7 000.
+# as complex), each written into the buffer of the block before.  Arrays
+# allocated afresh per block were mapped and unmapped by glibc until some
+# earlier large free raised its mmap threshold: `count --method fft` on
+# the torus 4096 at 1/50 took 88 000 page faults at 2^16 entries and
+# 2 400 at 2^15; with the one buffer it takes 2 500 and 2 300.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -71,6 +70,11 @@ class CornerCount:
 # `count --method naive` on the torus 1024 at 1/2 took 78 000 page faults.
 _PAIR_BLOCK = 1 << 16
 
+# The naive count takes a column of k >= 2 points with _DENSE_SHARE * k >= N
+# (N the ambient side) from its autocorrelation, about N^2 / 64 word
+# operations, instead of its k^2 pairs.
+_DENSE_SHARE = 4
+
 
 def _lag_pad(ambient: Ambient) -> int:
     """Where column index 0 sits in a `_lagged_table`: 0 on a torus, 1 on
@@ -105,21 +109,24 @@ def _lag_column(ambient: Ambient, t: int) -> int:
     return (t - _lag_pad(ambient)) % ambient.size + ambient.lo
 
 
-def pair_targets(a: GridSet) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
+def pair_targets(
+    a: GridSet, columns: Optional[Iterable[tuple[int, np.ndarray]]] = None
+) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Map the pair differences of each column to the column they point at.
 
-    Walks the columns x = i + lo holding at least two points (a lone point
-    has only the trivial pair d = 0) and yields (i, ys, j0, t), where t
-    holds the `_lookup` indices t = i + d + `_lag_pad` for
-    d = ys[j2] - ys[j1].  Over all position pairs, t covers the rows
-    j1 = j0, j0 + 1, ... of the k x k difference array in blocks of at most
-    _PAIR_BLOCK entries (row r of t is j1 = j0 + r); d = 0 exactly where
-    t == i + pad.  Every t is a view of one buffer, which the next block
-    overwrites.
+    Walks the columns x = i + lo of `columns`, (i, ys) pairs as
+    `a.nonempty_columns()` yields them (all of those when None), that hold
+    at least two points (a lone point has only the trivial pair d = 0), and
+    yields (i, ys, j0, t), where t holds the `_lookup` indices
+    t = i + d + `_lag_pad` for d = ys[j2] - ys[j1].  Over all position
+    pairs, t covers the rows j1 = j0, j0 + 1, ... of the k x k difference
+    array in blocks of at most _PAIR_BLOCK entries (row r of t is
+    j1 = j0 + r); d = 0 exactly where t == i + pad.  Every t is a view of
+    one buffer, which the next block overwrites.
     """
     pad = _lag_pad(a.ambient)
     buf = np.empty(0, dtype=np.int64)
-    for i, ys in a.nonempty_columns():
+    for i, ys in a.nonempty_columns() if columns is None else columns:
         if ys.size < 2:
             continue
         at = ys + (i + pad)
@@ -136,12 +143,20 @@ def find_skew_corner(a: GridSet) -> Optional[Witness]:
 
     For each column x, every nonzero difference d of a pair in the column
     is checked against the occupancy of column x+d.  The witness is the
-    first hit in (column, j1, j2) order.
+    first hit in (column, j1, j2) order.  While a column's pairs are
+    scanned its own occupancy entry is cleared: as |d| < size, only d = 0
+    reads it.
     """
     pad = _lag_pad(a.ambient)
     occ = _lagged_table(a, bool)
+    own = None  # the lookup index of the column being scanned
     for i, ys, j0, t in pair_targets(a):
-        hit = _lookup(a.ambient, occ, t) & (t != i + pad)
+        if j0 == 0:
+            if own is not None:
+                occ[own] = True
+            own = i + pad
+            occ[own] = False
+        hit = _lookup(a.ambient, occ, t)
         if hit.any():
             j1, j2 = np.unravel_index(int(np.argmax(hit)), hit.shape)
             target = int(t[j1, j2])
@@ -179,14 +194,16 @@ def sample_skew_corner(a: GridSet, probes: int, seed: int = 0) -> Optional[tuple
     for i, ys in a.nonempty_columns():
         if i != next_i:
             continue
+        occ[i + pad] = False  # only the trivial pairs d = 0 read it
         for s in range(0, r, _PAIR_BLOCK):
             m = min(_PAIR_BLOCK, r - s)
             t = ys[rng.integers(0, ys.size, m)]
             t += i + pad
             t -= ys[rng.integers(0, ys.size, m)]
-            hit = _lookup(a.ambient, occ, t) & (t != i + pad)
+            hit = _lookup(a.ambient, occ, t)
             if hit.any():
                 return i + a.ambient.lo, _lag_column(a.ambient, int(t[hit][0]))
+        occ[i + pad] = True
         next_i, r = next(drawn, (None, 0))
     return None
 
@@ -197,40 +214,77 @@ def is_bi_skew_corner_free(a: GridSet) -> bool:
 
 
 def count_skew_corners_naive(a: GridSet) -> CornerCount:
-    """Exact reference count by direct enumeration of per-column pairs.
-
-    O(sum_x |A_x|^2 + size^2) time and O(size) memory beyond the set, since
-    the pairs come in blocks; 64-bit integer arithmetic throughout.
+    """Exact reference count: sum over the pairs y, y' of each column x of
+    |A_{x + y' - y}|, in 64-bit integer arithmetic and independent of the
+    FFT.  A column of k points is either enumerated, its k^2 pairs a block
+    at a time (`pair_targets`), or, when dense (_DENSE_SHARE * k >= N),
+    counted from its autocorrelation in about N^2 / 64 word operations
+    (`_words.dense_pair_total`).  So the time is
+    O(sum_x min(|A_x|^2, N^2 / 64) + N), and the memory beyond the set
+    O(N) plus fixed-size buffers.
     """
     table = _lagged_table(a)
     pad = _lag_pad(a.ambient)
-    sizes = table[pad : pad + a.ambient.size]  # a view, not a copy
+    N = a.ambient.size
+    sizes = table[pad : pad + N]  # a view, not a copy
     trivial = int(sizes @ sizes)
     lone = int(np.count_nonzero(sizes == 1))
+    dense = []
+
+    def sparse() -> Iterator[tuple[int, np.ndarray]]:
+        """The nonempty columns, less the dense ones, set aside in `dense`."""
+        for i, ys in a.nonempty_columns():
+            if ys.size >= 2 and _DENSE_SHARE * ys.size >= N:
+                dense.append((i, ys))
+            else:
+                yield i, ys
+
     looked_up = np.empty(0, dtype=np.int64)  # table[t], reused like t
     pairs = 0
-    for _, _, _, t in pair_targets(a):
+    for _, _, _, t in pair_targets(a, sparse()):
         if looked_up.size < t.size:
             looked_up = np.empty(t.size, dtype=np.int64)
         pairs += int(_lookup(a.ambient, table, t.ravel(), out=looked_up[: t.size]).sum())
+    if dense:
+        from ._words import dense_pair_total  # loaded only for dense columns
+
+        pairs += dense_pair_total(a, table, dense)
     # the pairs include each column's k trivial pairs d = 0, which meet its
     # own k points, except in the `lone` skipped columns of one point
     return CornerCount(trivial=trivial, nontrivial=pairs - trivial + lone)
 
 
-def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(cols, |rfft(rows, axis=1)|^2) for consecutive blocks of the
+def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(cols, |rfft(rows, axis=1)|^2, work) for consecutive blocks of the
     nonempty torus columns cols, in increasing order, where rows are their
     indicator rows; grid sets are embedded into the torus of side 2n first.
     Rows are real, so each power spectrum holds the N // 2 + 1 frequencies
     0..N // 2 and P(a) = P(N - a) gives the rest.  Empty columns have a
-    zero spectrum and are never transformed."""
+    zero spectrum and are never transformed.
+
+    Every block is written into `work`, one float64 buffer of two rows
+    reused across blocks: work[0] holds the indicator rows and then the
+    power, work[1] their transform.  So the power is a view that the next
+    block, or `autocorrelation_total` on this one, overwrites.
+    """
     a = fft_torus(a)
+    N = a.ambient.size
+    h = N // 2 + 1
     nonempty = np.flatnonzero(a.column_sizes())
-    step = max(1, _BLOCK_ENTRIES // a.ambient.size)
+    step = max(1, min(nonempty.size, _BLOCK_ENTRIES // N))
+    work = np.empty((2, step * 2 * h))  # 2h >= N + 1 floats a row
     for k in range(0, nonempty.size, step):
         cols = nonempty[k : k + step]
-        yield cols, np.abs(np.fft.rfft(a.indicator_matrix(cols=cols), axis=1)) ** 2
+        b = cols.size
+        rows = a.indicator_matrix(cols=cols, out=work[0, : b * N].reshape(b, N))
+        spectrum = np.fft.rfft(rows, axis=1, out=_complex_rows(work[1], b, h))
+        power = np.abs(spectrum, out=work[0, : b * h].reshape(b, h))
+        yield cols, np.square(power, out=power), work
+
+
+def _complex_rows(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The front of a 1-D float64 buffer as a rows x width complex array."""
+    return buf[: 2 * rows * width].view(complex).reshape(rows, width)
 
 
 def count_skew_corners_fft(a: GridSet) -> CornerCount:
@@ -248,15 +302,21 @@ def count_skew_corners_fft(a: GridSet) -> CornerCount:
     return CornerCount(trivial=trivial, nontrivial=total - trivial)
 
 
-def autocorrelation_total(sizes: np.ndarray, cols: np.ndarray, power: np.ndarray) -> int:
+def autocorrelation_total(
+    sizes: np.ndarray, cols: np.ndarray, power: np.ndarray, work: np.ndarray
+) -> int:
     """sum_{x, d} c_x(d) |A_{x+d}| over the columns x of one `column_power`
-    block (cols, power), where `sizes` holds the N column sizes as float64
-    and x + d is taken mod N.  Each cyclic autocorrelation c_x is the
-    inverse transform of its power spectrum, rounded to the nearest
-    integer; a residue above FFT_RESIDUE_TOL raises PrecisionError."""
-    N = sizes.size
-    corr = np.fft.irfft(power, n=N, axis=1)
-    rounded = np.rint(corr)
+    block (cols, power, work), where `sizes` holds the N column sizes as
+    float64 and x + d is taken mod N.  Each cyclic autocorrelation c_x is
+    the inverse transform of its power spectrum, rounded to the nearest
+    integer; a residue above FFT_RESIDUE_TOL raises PrecisionError.  The
+    block's `work` buffer takes the power as a complex input, then the
+    transform, then its rounding, so `power` is overwritten."""
+    N, b = sizes.size, cols.size
+    spectrum = _complex_rows(work[1], b, power.shape[1])
+    spectrum[...] = power  # a complex input, which irfft does not copy
+    corr = np.fft.irfft(spectrum, n=N, axis=1, out=work[0, : b * N].reshape(b, N))
+    rounded = np.rint(corr, out=work[1, : b * N].reshape(b, N))
     np.subtract(corr, rounded, out=corr)
     residue = float(np.abs(corr, out=corr).max())
     if residue > FFT_RESIDUE_TOL:

@@ -117,7 +117,7 @@ def test_linfty_small_density_guard_at_desk_scale():
         assert spec[1:].max() >= 4 * c_prime * half.density
         for C in (1, 2, 64):
             out = _guaranteed_step(half, sl.AnalysisConfig(C=C, c_prime=c_prime))
-            assert out.variant == "small_density" and out.branch == "i"
+            assert out.variant == "small_density" and out.branch == "ii"
             assert out.note == "alpha below the block guard"
     # at c' = 0.05 the top coefficient stays below 4 c' alpha
     assert spec[1:].max() < 4 * 0.05 * half.density
@@ -302,7 +302,7 @@ def test_guaranteed_step_route_verdicts_above_eight_over_n():
     row = _l2_route(comp, cross_spectrum(comp), _ROW_ROUTE, at_one)
     assert row is not None and row.variant == "small_density"  # row opens first
     out = sl.increment_step(comp, at_one, "guaranteed")
-    assert out.variant == "small_density" and out.branch == "i"
+    assert out.variant == "small_density" and out.branch == "iv"
     assert out.note == "alpha n below the progression guard"
     # past C = 1 no L2 route opens; the top marginal coefficient opens the
     # dominant-coefficient route for these c', and its block guard stops it
@@ -311,7 +311,7 @@ def test_guaranteed_step_route_verdicts_above_eight_over_n():
     for C, c_prime in ((2, 0.01), (4, 0.02), (8, 0.01)):
         cfg = sl.AnalysisConfig(C=C, c_prime=c_prime)
         out = sl.increment_step(comp, cfg, "guaranteed")
-        assert out.variant == "small_density" and out.branch == "i"
+        assert out.variant == "small_density" and out.branch == "ii"
         assert out.note == "alpha below the block guard"
     # at c' = 0.05 the top coefficient stays below 4 c' alpha
     for C in (2, 64):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewlab as sl
+from skewlab import _words, verify
+from skewlab.verify import sample_skew_corner
 from conftest import (
     brute_corner_tuples,
     brute_first_corner,
@@ -36,6 +38,19 @@ def test_find_skew_corner_torus_witness_wraps():
     a = sl.make_grid_set([(0, 0), (0, 3), (3, 1)], sl.torus(4))
     w = sl.find_skew_corner(a)
     assert w is not None
+
+
+def test_a_corner_may_point_back_to_a_scanned_column():
+    """Column x1 has no corner, and column x2 > x1 has one only through
+    x1: clearing a column's own occupancy entry while it is scanned must
+    not hide it from the columns after it."""
+    for a in (
+        sl.make_grid_set([(1, 1), (1, 6), (4, 1), (4, 4)], sl.grid(8)),
+        sl.make_grid_set([(0, 0), (0, 5), (3, 0), (3, 3)], sl.torus(12)),
+    ):
+        w = sl.find_skew_corner(a)
+        assert w == brute_first_corner(a) and w.d == -3
+        assert sample_skew_corner(a, 64) == (w.x, w.x + w.d)
 
 
 def test_exhaustive_grid2_matches_brute_force():
@@ -177,8 +192,8 @@ def test_fft_residue_guard_raises_precision_error(monkeypatch):
 
     real_irfft = nf.irfft
 
-    def noisy_irfft(x, n=None, axis=-1):
-        return real_irfft(x, n=n, axis=axis) + 0.002  # above the 1e-3 tolerance
+    def noisy_irfft(x, n=None, axis=-1, out=None):
+        return real_irfft(x, n=n, axis=axis, out=out) + 0.002  # above the 1e-3 tolerance
 
     monkeypatch.setattr(nf, "irfft", noisy_irfft)
     a = sl.make_grid_set([(0, 0), (0, 1), (1, 0)], sl.torus(4))
@@ -288,3 +303,98 @@ def test_only_verify_knows_the_lookup_layout():
         for name in ("pair_targets", "_lag_pad", "_lagged_table", "_lookup", "_lag_column",
                      "lag_pad", "lagged_table", "lag_column"):
             assert not hasattr(mod, name), (mod.__name__, name)
+
+
+_WORD_SIDES = (1, 2, 5, 63, 64, 65, 127, 128, 129)
+_MIXED_SIDES = _WORD_SIDES[3:]
+
+
+def _mixed_set(rng: np.random.Generator, kind: str, N: int) -> sl.GridSet:
+    """Columns of N/2, exactly N/4 and N/4 - 1 points (the last one below
+    the dense threshold), sparse columns of 2 and 3 points, lone points
+    and empty columns."""
+    amb = sl.torus(N) if kind == "torus" else sl.grid(N)
+    heights = [N // 2, N // 4, N // 4 - 1, 3, 2, 1, 1]
+    xs = rng.choice(N, len(heights), replace=False)
+    pts = [
+        (int(x) + amb.lo, int(y) + amb.lo)
+        for x, k in zip(xs, heights)
+        for y in rng.choice(N, k, replace=False)
+    ]
+    return sl.make_grid_set(pts, amb)
+
+
+@pytest.fixture(scope="module")
+def word_corpus() -> list[sl.GridSet]:
+    """Seeded grid and torus sets at sides around the 64-bit word, at
+    densities 0.3, 0.7 and 1.0, and a mixed set at each side of at least 63."""
+    rng = np.random.default_rng(24)
+    sets = [
+        make(rng, side, density)
+        for make in (rand_torus_set, rand_grid_set)
+        for side in _WORD_SIDES
+        for density in (0.3, 0.7, 1.0)
+    ]
+    sets += [_mixed_set(rng, kind, N) for kind in ("torus", "grid") for N in _MIXED_SIDES]
+    return sets
+
+
+@pytest.mark.parametrize("words", [1, 40, None])
+def test_dense_columns_match_the_pair_kernel_and_the_fft(monkeypatch, word_corpus, words):
+    """Every column counted by its pairs, every column of two or more
+    points counted from its autocorrelation words, and the default split
+    give the same count.  It equals the brute force on the small sets and
+    the FFT count on the torus, which on a grid set counts its embedding.
+    Word buffers of one word and of a few words, which split the bit
+    offsets into passes, run on the mixed sets."""
+    if words is not None:
+        monkeypatch.setattr(_words, "_WORD_BLOCK", words)
+        word_corpus = word_corpus[-2 * len(_MIXED_SIDES) :]
+    for a in word_corpus:
+        counts = []
+        for share in (0, verify._DENSE_SHARE, 1 << 40):
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_DENSE_SHARE", share)
+                counts.append(sl.count_skew_corners_naive(a))
+        assert counts[0] == counts[1] == counts[2], a
+        if a.ambient.size <= 5 or (a.ambient.size <= 65 and len(a) <= 200):
+            assert counts[0] == sl.CornerCount(*brute_skew_tuples(a)), a
+        if a.ambient.size > 1:
+            assert sl.count_skew_corners_fft(a) == sl.count_skew_corners_naive(
+                sl.embed_torus(a)
+            ), a
+            if a.ambient.kind == "torus":
+                assert counts[0] == sl.count_skew_corners_fft(a), a
+
+
+def test_the_dense_threshold_is_a_quarter_of_the_side(monkeypatch):
+    """A column of exactly N/4 points takes the word path, one of N/4 - 1
+    points and every lone point the pair kernel."""
+    taken = []
+    real = _words.dense_pair_total
+
+    def recorded(a, table, columns):
+        taken.append(columns)
+        return real(a, table, columns)
+
+    monkeypatch.setattr(_words, "dense_pair_total", recorded)
+    rng = np.random.default_rng(25)
+    for kind in ("torus", "grid"):
+        for N in (64, 65):
+            a = _mixed_set(rng, kind, N)
+            taken.clear()
+            count = sl.count_skew_corners_naive(a)
+            heights = sorted(ys.size for _, ys in taken[0])
+            assert heights == ([N // 4, N // 2] if N % 4 == 0 else [N // 2]), (kind, N)
+            assert count == sl.CornerCount(*brute_skew_tuples(a))
+
+
+def test_dense_count_holds_no_square_array():
+    """The torus 1024 at density 1/2 (every column dense): the count equals
+    the FFT count, and its memory beyond the set stays under 1 MiB, an
+    eighth of one N x N int64 array."""
+    a = rand_torus_set(np.random.default_rng(26), 1024, 0.5)
+    with peak_memory() as peak:
+        count = sl.count_skew_corners_naive(a)
+    assert count == sl.count_skew_corners_fft(a)
+    assert peak.bytes < 2**20
