@@ -84,9 +84,7 @@ _EXPORTS = {
     ),
     "increment": (
         "IncrementOutcome",
-        "PigeonholeResult",
         "increment_step",
-        "pigeonhole_square",
     ),
     "experiment": (
         "ProductSetReport",

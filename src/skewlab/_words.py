@@ -1,5 +1,6 @@
-"""The naive count's dense columns, counted from exact autocorrelations in
-64-bit words (see `verify.count_skew_corners_naive`).
+"""Exact autocorrelations of the naive count's dense columns, in 64-bit
+words; `verify._lagged_total` sums them against the column sizes, as it
+does the FFT count's rows (see `verify.count_skew_corners_naive`).
 
 The module stands apart from `verify`, which every check and count
 imports, so that only a count with dense columns loads it: where bytecode
@@ -14,40 +15,10 @@ from typing import Iterator
 import numpy as np
 
 from .ambient import TORUS, Ambient
-from .core import GridSet
-from .verify import _lag_pad, _lookup
 
 # Columns go in blocks whose word buffers hold about this many uint64
 # words each (128 KiB), reused across blocks.
 _WORD_BLOCK = 1 << 14
-
-
-def dense_pair_total(a: GridSet, table: np.ndarray, columns: list) -> int:
-    """The pair total of the naive count over `columns`, (i, ys) pairs of
-    at least two points of `a`: sum_{y, y' in A_x} |A_{x + y' - y}| for
-    each, with `table` the count's `verify._lagged_table`.
-
-    With c the column's autocorrelation (`column_autocorrelations`), that
-    is sum_{0 <= d < N} c(d) |A_{x+d}|, x + d taken mod N on a torus; a
-    grid adds the negative differences, sum_{d >= 1} c(d) |A_{x-d}|, as
-    there c(-d) = c(d).
-    """
-    ambient = a.ambient
-    N, pad = ambient.size, _lag_pad(ambient)
-    lags = np.arange(N)
-    # the lags d >= 0 on every column, and on a grid the lags -d, d >= 1
-    sides = [(lags, 0)] if ambient.kind == TORUS else [(lags, 0), (-lags[1:], 1)]
-    at = looked_up = np.empty(0, dtype=np.int64)  # reused like pair_targets' buffer
-    total = 0
-    for block, c in column_autocorrelations(columns, ambient):
-        if at.size < c.size:
-            at, looked_up = np.empty(c.size, dtype=np.int64), np.empty(c.size, dtype=np.int64)
-        x = np.fromiter((i + pad for i, _ in block), np.int64, len(block))[:, None]
-        for d, skip in sides:
-            t = np.add(x, d, out=at[: x.size * d.size].reshape(x.size, d.size))
-            got = _lookup(ambient, table, t, out=looked_up[: t.size].reshape(t.shape))
-            total += int(np.multiply(got, c[:, skip:], out=got).sum())
-    return total
 
 
 def column_autocorrelations(

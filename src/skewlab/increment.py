@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import GRID, Ambient, grid
+from .ambient import Ambient, grid
 from .core import GridSet, embed_torus
 from .errors import FalsificationError, ParameterError
 from .fourier import (
@@ -78,14 +78,6 @@ class IncrementOutcome:
         return self.extracted_count / self.box_area if self.box_area else 0.0
 
 
-@dataclass(frozen=True)
-class PigeonholeResult:
-    translate: Progression
-    count: int
-    density: float
-    base_density: float
-
-
 def _top_frequencies(weights: np.ndarray, m: int) -> tuple[int, ...]:
     """The m nontrivial frequencies with the largest weights (ties to the
     smaller frequency)."""
@@ -126,44 +118,17 @@ def _shift_scores(w: np.ndarray, p: Progression) -> np.ndarray:
     return scores
 
 
-def pigeonhole_square(
-    b_set: GridSet, p: Progression, axis: str = "columns"
-) -> PigeonholeResult:
-    """Best translate P' of P making the box P x P' (axis "columns", input
-    inside P x [n]) or P' x P (axis "rows") as dense as possible.  Among
-    equally dense boxes the translate with the smallest start wins.
-
-    The returned density is at least the input band density minus span/n.
-    """
-    if axis not in ("columns", "rows"):
-        raise ParameterError("axis must be 'columns' or 'rows'")
-    if b_set.ambient.kind != GRID:
-        raise ParameterError("pigeonhole_square expects a grid-ambient set")
-    n = b_set.ambient.size
-    if p.span > n:
-        raise ParameterError(f"progression span {p.span} exceeds n={n}")
-    if p.start < 1 or p.last > n:
-        raise ParameterError("progression leaves [n]")
-    xs, ys = b_set.coordinates()
-    u, along = (xs, ys) if axis == "columns" else (ys, xs)  # in P, against P'
-    stray = np.flatnonzero(p.index(u) == 0)
-    if stray.size:
-        j = stray[0]
-        raise ParameterError(f"point ({xs[j]}, {ys[j]}) outside the progression band")
-    base_density = along.size / (p.length * n)
+def _best_translate(along: np.ndarray, p: Progression, n: int) -> Progression:
+    """The translate P' of P inside [n] that holds the most of the values
+    `along` (the coordinates a band on P is matched by against P'), so
+    that the box P x P' or P' x P is densest.  Among equally dense boxes
+    the translate with the smallest start wins.  Its density is at least
+    the band's density minus span/n."""
     # counts[s - 1] counts `along` on P moved to start s, for the starts that
     # keep it inside [n]; those never reach past index n, so nothing wraps
     w = np.bincount(along, minlength=n + 1)
     counts = _shift_scores(w, p.shifted(-p.start))[1 : n - (p.last - p.start) + 1]
-    start = int(counts.argmax()) + 1
-    count = int(counts[start - 1])
-    translate = p.shifted(start - p.start)
-    return PigeonholeResult(
-        translate=translate,
-        count=count,
-        density=count / p.length**2,
-        base_density=base_density,
-    )
+    return p.shifted(int(counts.argmax()) + 1 - p.start)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +307,12 @@ def _subsquare_outcome(
     alpha: float,
     note: str = "",
 ) -> IncrementOutcome:
-    """Cut the band of `a` on p (its columns for axis "columns", its rows
+    """Take the band of `a` on p (its columns for axis "columns", its rows
     for "rows"), pigeonhole it onto its densest square and package that."""
-    band = _band(a.ambient, *a.coordinates(), p, axis)
-    translate = pigeonhole_square(band, p, axis=axis).translate
-    return _square_outcome(band, p, translate, axis, branch, gamma_set, alpha, note)
+    xs, ys = a.coordinates()
+    u, along = (xs, ys) if axis == "columns" else (ys, xs)  # in P, against P'
+    translate = _best_translate(along[p.index(u) > 0], p, a.ambient.size)
+    return _square_outcome(a, p, translate, axis, branch, gamma_set, alpha, note)
 
 
 def _small_density(a: GridSet, note: str, branch: str = "i") -> IncrementOutcome:

@@ -88,8 +88,9 @@ def _lagged_table(a: GridSet, dtype=np.int64) -> np.ndarray:
     for any |d| < size.  A torus table holds the N sizes and the lookup
     wraps.  A grid table has one zero on each side, size + 2 entries, and
     the lookup clips, which sends every off-grid column to a zero.  This,
-    `_lookup` and `_lag_column` are the one place a column plus a
-    difference is mapped to a column."""
+    `_lookup`, `_lag_column` and `_lagged_total` (for whole autocorrelation
+    rows) are the one place a column plus a difference is mapped to a
+    column."""
     size, pad = a.ambient.size, _lag_pad(a.ambient)
     table = np.zeros(size + 2 * pad, dtype=dtype)
     a.column_sizes(out=table[pad : pad + size])
@@ -107,6 +108,23 @@ def _lookup(
 def _lag_column(ambient: Ambient, t: int) -> int:
     """The column x read at lookup index t (an on-grid one on a grid)."""
     return (t - _lag_pad(ambient)) % ambient.size + ambient.lo
+
+
+def _lagged_total(sizes: np.ndarray, xs: list, rows: np.ndarray, torus: bool) -> int:
+    """sum_j sum_{0 <= d < N} rows[j, d] sizes[xs[j] + d] for the N column
+    sizes and the column indices xs[j] of the rows, which hold one
+    autocorrelation c(d) each, of any dtype.  On a torus x + d is taken
+    mod N.  A grid reads nothing off the grid and adds
+    sum_{d >= 1} rows[j, d] sizes[xs[j] - d], as there c(-d) = c(d).  The
+    caller keeps each row's sum exact in the dtype of `rows @ sizes`."""
+    N = sizes.size
+    if torus:
+        twice = np.concatenate((sizes, sizes))  # row x meets twice[x + d]
+        return sum(int(row @ twice[x : x + N]) for x, row in zip(xs, rows))
+    return sum(
+        int(row[: N - x] @ sizes[x:]) + int(row[1 : x + 1] @ sizes[:x][::-1])
+        for x, row in zip(xs, rows)
+    )
 
 
 def pair_targets(
@@ -219,7 +237,8 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     FFT.  A column of k points is either enumerated, its k^2 pairs a block
     at a time (`pair_targets`), or, when dense (_DENSE_SHARE * k >= N),
     counted from its autocorrelation in about N^2 / 64 word operations
-    (`_words.dense_pair_total`).  So the time is
+    (`_words.column_autocorrelations`), whose rows `_lagged_total` sums
+    against the column sizes, as the FFT count does.  So the time is
     O(sum_x min(|A_x|^2, N^2 / 64) + N), and the memory beyond the set
     O(N) plus fixed-size buffers.
     """
@@ -246,9 +265,10 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
             looked_up = np.empty(t.size, dtype=np.int64)
         pairs += int(_lookup(a.ambient, table, t.ravel(), out=looked_up[: t.size]).sum())
     if dense:
-        from ._words import dense_pair_total  # loaded only for dense columns
+        from ._words import column_autocorrelations  # loaded only for dense columns
 
-        pairs += dense_pair_total(a, table, dense)
+        for block, c in column_autocorrelations(dense, a.ambient):
+            pairs += _lagged_total(sizes, [i for i, _ in block], c, a.ambient.kind == TORUS)
     # the pairs include each column's k trivial pairs d = 0, which meet its
     # own k points, except in the `lone` skipped columns of one point
     return CornerCount(trivial=trivial, nontrivial=pairs - trivial + lone)
@@ -310,8 +330,10 @@ def autocorrelation_total(
     float64 and x + d is taken mod N.  Each cyclic autocorrelation c_x is
     the inverse transform of its power spectrum, rounded to the nearest
     integer; a residue above FFT_RESIDUE_TOL raises PrecisionError.  The
-    block's `work` buffer takes the power as a complex input, then the
-    transform, then its rounding, so `power` is overwritten."""
+    rounded rows go to `_lagged_total`, the naive count's kernel for its
+    dense columns.  The block's `work` buffer takes the power as a complex
+    input, then the transform, then its rounding, so `power` is
+    overwritten."""
     N, b = sizes.size, cols.size
     spectrum = _complex_rows(work[1], b, power.shape[1])
     spectrum[...] = power  # a complex input, which irfft does not copy
@@ -325,9 +347,8 @@ def autocorrelation_total(
             f"{FFT_RESIDUE_TOL}; N={N} too large for the float path"
         )
     # a row's terms are integers summing to at most N^3 < 2^53, so each
-    # float64 dot product is exact; row x meets twice[x + d]
-    twice = np.concatenate((sizes, sizes))
-    return sum(int(row @ twice[x : x + N]) for x, row in zip(cols.tolist(), rounded))
+    # float64 dot product is exact
+    return _lagged_total(sizes, cols.tolist(), rounded, torus=True)
 
 
 def count_corners(a: GridSet) -> CornerCount:

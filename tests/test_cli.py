@@ -549,10 +549,18 @@ IMPORT_BUDGET = {
         {"numpy", "skewlab.experiment"},
         {"skewlab.core", "skewlab.verify", "skewlab.fourier", "skewlab.increment"},
     ),
+    # the columns of two or more points in eight.txt are dense, so the count
+    # loads the word kernel
     "count-naive": (
         ("count", "--method", "naive", "--in", "eight.txt"),
-        {"skewlab.core", "skewlab.verify"},
+        {"skewlab.core", "skewlab.verify", "skewlab._words"},
         {"skewlab.fourier", "skewlab.increment", "skewlab.search"},
+    ),
+    # no column of sparse.txt is dense, so the count runs without it
+    "count-naive-sparse": (
+        ("count", "--method", "naive", "--in", "sparse.txt"),
+        {"skewlab.core", "skewlab.verify"},
+        {"skewlab._words", "skewlab.fourier", "skewlab.increment", "skewlab.search"},
     ),
 }
 
@@ -564,10 +572,13 @@ def test_cli_jobs_import_only_what_they_run(job, eight_file, capsys, monkeypatch
     prints."""
     argv, loads, skips = IMPORT_BUDGET[job]
     cwd = os.path.dirname(eight_file)
+    # a grid of side 64 whose columns hold at most 2 points
+    sparse = [(x, y) for x in range(1, 65) for y in {1 + x % 3, 40}]
+    sl.save_skewset(sl.make_grid_set(sparse, sl.grid(64)), os.path.join(cwd, "sparse.txt"))
     loaded, stdout = _cli_imports(cwd, *argv)
     assert loads <= loaded
     assert not loaded & skips
-    if job == "count-naive":
+    if job.startswith("count-naive"):
         assert json.loads(stdout)["total"] > 0
     monkeypatch.chdir(cwd)
     assert cli.run(list(argv)) == 0

@@ -16,6 +16,7 @@ from skewlab.fourier import cross_spectrum, marginal_spectrum
 from skewlab.increment import (
     _COLUMN_ROUTE,
     _ROW_ROUTE,
+    _best_translate,
     _column_extract,
     _guaranteed_step,
     _l2_route,
@@ -28,19 +29,21 @@ from skewlab.increment import (
 # pigeonhole
 # ---------------------------------------------------------------------------
 
+def _box_density(along, p: sl.Progression, translate: sl.Progression) -> float:
+    """The share of the box P x P' that the band's values `along` fill."""
+    return sum(v in translate.elements() for v in along) / p.length**2
+
+
 def test_pigeonhole_full_band_reaches_density_one():
     p = sl.Progression(start=3, difference=2, length=5)
-    band = sl.make_grid_set(
-        [(x, y) for x in p.elements() for y in range(1, 33)], sl.grid(32)
-    )
-    res = sl.pigeonhole_square(band, p, axis="columns")
-    assert res.density == pytest.approx(1)
+    along = np.array([y for x in p.elements() for y in range(1, 33)])
+    assert _box_density(along, p, _best_translate(along, p, 32)) == pytest.approx(1)
 
 
 def test_pigeonhole_empty_band():
     p = sl.Progression(start=1, difference=1, length=4)
-    res = sl.pigeonhole_square(sl.make_grid_set([], sl.grid(16)), p)
-    assert res.count == 0 and res.density == 0
+    translate = _best_translate(np.zeros(0, dtype=np.int64), p, 16)
+    assert translate == p  # the first start wins the all-zero tie
 
 
 def test_pigeonhole_guarantee_on_random_bands():
@@ -63,9 +66,10 @@ def test_pigeonhole_guarantee_on_random_bands():
                 if rng.random() < rate
             ]
             xy = pts if axis == "columns" else [(v, u) for u, v in pts]
-            band = sl.make_grid_set(xy, sl.grid(n))
-            res = sl.pigeonhole_square(band, p, axis=axis)
-            assert res.density >= res.base_density - p.span / n - 1e-12
+            xs, ys = sl.make_grid_set(xy, sl.grid(n)).coordinates()
+            translate = _best_translate(ys if axis == "columns" else xs, p, n)
+            density = _box_density([v for _, v in pts], p, translate)
+            assert density >= len(pts) / (length * n) - p.span / n - 1e-12
             # independent exhaustive check of the maximizer: the first start
             # reaching the best count wins
             counts = []
@@ -73,9 +77,9 @@ def test_pigeonhole_guarantee_on_random_bands():
                 elems = set(range(s, s + length * d, d))
                 counts.append(sum(1 for u, v in pts if v in elems))
             best = max(counts)
-            assert res.count == best
-            assert res.translate.start == counts.index(best) + 1
-            assert (res.translate.difference, res.translate.length) == (d, length)
+            assert density == best / length**2
+            assert translate.start == counts.index(best) + 1
+            assert (translate.difference, translate.length) == (d, length)
             ties += counts.count(best) > 1
     assert ties  # the tie rule was exercised
 
@@ -85,18 +89,8 @@ def test_pigeonhole_rows_axis():
     band = sl.make_grid_set(
         [(x, y) for y in p.elements() for x in range(1, 17)], sl.grid(16)
     )
-    res = sl.pigeonhole_square(band, p, axis="rows")
-    assert res.density == pytest.approx(1)
-
-
-def test_pigeonhole_validates_band_and_span():
-    p = sl.Progression(start=1, difference=8, length=4)  # span 32 > 16
-    with pytest.raises(sl.ParameterError):
-        sl.pigeonhole_square(sl.make_grid_set([], sl.grid(16)), p)
-    p = sl.Progression(start=1, difference=1, length=2)
-    stray = sl.make_grid_set([(5, 5)], sl.grid(16))
-    with pytest.raises(sl.ParameterError):
-        sl.pigeonhole_square(stray, p, axis="columns")
+    along = band.coordinates()[0]
+    assert _box_density(along, p, _best_translate(along, p, 16)) == pytest.approx(1)
 
 
 # ---------------------------------------------------------------------------

@@ -298,10 +298,11 @@ def test_wide_grid_kernels_hold_no_three_n_table():
 def test_only_verify_knows_the_lookup_layout():
     import skewlab.construct
     import skewlab.fourier
+    import skewlab.increment
 
-    for mod in (skewlab.construct, skewlab.fourier):
+    for mod in (skewlab.construct, skewlab.fourier, _words, skewlab.increment):
         for name in ("pair_targets", "_lag_pad", "_lagged_table", "_lookup", "_lag_column",
-                     "lag_pad", "lagged_table", "lag_column"):
+                     "_lagged_total", "lag_pad", "lagged_table", "lag_column"):
             assert not hasattr(mod, name), (mod.__name__, name)
 
 
@@ -371,13 +372,13 @@ def test_the_dense_threshold_is_a_quarter_of_the_side(monkeypatch):
     """A column of exactly N/4 points takes the word path, one of N/4 - 1
     points and every lone point the pair kernel."""
     taken = []
-    real = _words.dense_pair_total
+    real = _words.column_autocorrelations
 
-    def recorded(a, table, columns):
+    def recorded(columns, ambient):
         taken.append(columns)
-        return real(a, table, columns)
+        return real(columns, ambient)
 
-    monkeypatch.setattr(_words, "dense_pair_total", recorded)
+    monkeypatch.setattr(_words, "column_autocorrelations", recorded)
     rng = np.random.default_rng(25)
     for kind in ("torus", "grid"):
         for N in (64, 65):
