@@ -278,8 +278,8 @@ def product_construction(base: BaseSet, n: int, verify: bool = False) -> GridSet
 def free_verification(a: GridSet) -> str:
     """How `verify_free` checks `a`: exhaustively when the column-pair work
     sum_x |A_x|^2 is at most VERIFY_EXHAUSTIVE_MAX, otherwise by sampling."""
-    sizes = a.column_sizes()
-    work = int(sizes @ sizes)
+    k = a.occupied_columns()[1]
+    work = int(k @ k)
     return EXHAUSTIVE if work <= VERIFY_EXHAUSTIVE_MAX else SAMPLED
 
 

@@ -5,8 +5,12 @@ needs no numpy.  Points are stored column-wise, since every algorithm in the
 package iterates over vertical slices: a GridSet keeps compressed sparse
 rows, one offsets array with an entry per column boundary and one array of
 y-values sorted within each column.  This module is the only one that
-knows that layout; the others go through `column`, `column_sizes`,
-`nonempty_columns`, `points`, `coordinates` and `indicator_matrix`.
+knows that layout; the others go through `column`, `occupied_columns`,
+`column_sizes`, `nonempty_columns`, `points`, `coordinates` and
+`indicator_matrix`.  A walk over the nonempty columns or their sizes
+takes them from `occupied_columns`, whose arrays are as long as the set
+has nonempty columns; `column_sizes` has an entry per column of the
+ambient, for callers that index the sizes by column.
 """
 
 from __future__ import annotations
@@ -95,17 +99,25 @@ class GridSet:
             raise CoordinateError(f"column {x} outside {self.ambient}")
         return tuple(self._slice(x - self.ambient.lo).tolist())
 
+    def occupied_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 arrays (i, k): the indices i of the nonempty columns
+        x = i + lo, increasing, and their sizes k.  Beyond the two, which
+        are as long as the set has nonempty columns, it builds one bool
+        mask of the columns."""
+        i = np.flatnonzero(self.offsets[1:] != self.offsets[:-1])
+        return i, self.offsets[i + 1] - self.offsets[i]
+
     def nonempty_columns(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, ys) for every nonempty column x = i + lo, in increasing x;
         `ys` is the column's read-only sorted y-values."""
-        for i in np.flatnonzero(self.offsets[1:] != self.offsets[:-1]).tolist():
+        for i in self.occupied_columns()[0].tolist():
             yield i, self._slice(i)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 coordinate arrays (xs, ys) in `points()` order; ys is read-only."""
-        lo = self.ambient.lo
-        xs = np.repeat(np.arange(lo, lo + self.ambient.size), self.column_sizes())
-        return xs, self.ys
+        i, k = self.occupied_columns()
+        i += self.ambient.lo
+        return np.repeat(i, k), self.ys
 
     def points(self) -> Iterator[tuple[int, int]]:
         xs, ys = self.coordinates()
@@ -129,7 +141,7 @@ class GridSet:
         one row per index in `cols`; all size columns in order when None.
         Written into `out` when given, in its dtype."""
         cols = np.arange(self.ambient.size) if cols is None else cols
-        counts = self.column_sizes()[cols]
+        counts = self.offsets[1:][cols] - self.offsets[cols]
         rows = np.repeat(np.arange(counts.size), counts)
         # positions in `ys` of the chosen columns' points, column by column
         at = np.repeat(self.offsets[cols] - np.cumsum(counts) + counts, counts)
@@ -267,9 +279,7 @@ def translate(a: GridSet, h: int, v: TranslationMap) -> GridSet:
     if a.ambient.kind != TORUS:
         raise ParameterError("translate expects a torus-ambient set")
     N = a.ambient.size
-    sizes = a.column_sizes()
-    nonempty = np.flatnonzero(sizes)
-    counts = sizes[nonempty]
+    nonempty, counts = a.occupied_columns()
     shifts = np.array([_shift_of(v, x) % N for x in nonempty.tolist()], dtype=np.int64)
     key = np.repeat(shifts, counts)
     key += a.ys
@@ -295,8 +305,14 @@ _BLANK = re.compile(rb"[ \t\n]*")
 # every byte a point body may hold; numpy's reader is laxer outside them
 _BODY_BYTES = b"0123456789+-\n \t"
 
-# bytes per block of the reader, cut after the block's last newline
-_READ_CHUNK = 1 << 18
+# bytes per block of the reader, cut after the block's last newline.  A
+# block's bytes, their CR-free copy, the joined block and its int64 rows
+# (about 5 times the block) sit on the growing keys at a load's peak, and
+# once glibc has raised its mmap threshold they stay in the heap: at 2^18
+# `count --method naive` on the torus 1024 at 1/2 peaked at 35.9-36.6 MB
+# RSS, moving with the allocations made before the load, and at 2^17 at
+# 35.1-35.3 MB, as fast.
+_READ_CHUNK = 1 << 17
 # the reader's key array grows by 1/_GROWTH of its size when it is full
 _GROWTH = 4
 

@@ -361,7 +361,7 @@ def parseval_bound(a: GridSet) -> ParsevalReport:
     return ParsevalReport(
         full_sum=float(cross.sum()),
         nontrivial_sum=float(cross[1:].sum()),
-        nonempty_columns=int((a.column_sizes() > 0).sum()),
+        nonempty_columns=a.occupied_columns()[0].size,
         modulus=len(cross),
     )
 

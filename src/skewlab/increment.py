@@ -181,7 +181,7 @@ def _row_extract(a: GridSet, p: Progression) -> GridSet:
     set is restricted to the rows of p, in [n] x P."""
     t = embed_torus(a)
     N = t.ambient.size
-    cols = np.flatnonzero(t.column_sizes())
+    cols = t.occupied_columns()[0]
     # a score sums len(P) entries of 0 or 1, so the narrowest unsigned type
     # holding len(P) keeps the indicator and its scores exact
     rows = t.indicator_matrix(np.min_scalar_type(p.length), cols=cols)
@@ -331,7 +331,7 @@ def _scan_candidates(a: GridSet) -> list[IncrementOutcome]:
     """
     n = a.ambient.size
     xs, ys = a.coordinates()
-    cols = np.flatnonzero(a.column_sizes()) + 1
+    cols = a.occupied_columns()[0] + 1
     # pref[r, y] counts the points up to row y in the first r nonempty
     # columns; int32 is safe, as counts are at most n^2 < 2^31 for n <= 46340
     pref = np.zeros((cols.size + 1, n + 1), dtype=np.int32)

@@ -143,14 +143,21 @@ def pair_targets(
     one buffer, which the next block overwrites.
     """
     pad = _lag_pad(a.ambient)
-    buf = np.empty(0, dtype=np.int64)
+    # one buffer, sized for the largest block of any column: the caller's
+    # `t` keeps a buffer alive, so a larger one made for a later column
+    # would be held beside it
+    k = a.occupied_columns()[1]
+    k = k[k >= 2]
+    size = int((np.minimum(k, np.maximum(1, _PAIR_BLOCK // k)) * k).max(initial=0))
+    del k
+    buf = None
     for i, ys in a.nonempty_columns() if columns is None else columns:
         if ys.size < 2:
             continue
         at = ys + (i + pad)
         rows = min(ys.size, max(1, _PAIR_BLOCK // ys.size))
-        if buf.size < rows * ys.size:
-            buf = np.empty(rows * ys.size, dtype=np.int64)
+        if buf is None:
+            buf = np.empty(size, dtype=np.int64)
         for j0 in range(0, ys.size, rows):
             t = buf[: min(rows, ys.size - j0) * ys.size].reshape(-1, ys.size)
             yield i, ys, j0, np.subtract(at, ys[j0 : j0 + len(t), None], out=t)
@@ -193,14 +200,16 @@ def sample_skew_corner(a: GridSet, probes: int, seed: int = 0) -> Optional[tuple
     Returns the columns (x, x + d) of the first skew corner hit, or None.
 
     The per-column probe counts come from one multinomial draw over the
-    columns of two or more points, and each column's pairs are drawn at
-    most _PAIR_BLOCK at a time, so memory beyond the set stays a few MiB
-    however many probes are asked for.
+    columns of two or more points, taken with their sizes from
+    `occupied_columns`, and each column's pairs are drawn at most
+    _PAIR_BLOCK at a time.  So memory beyond the set is at most about
+    1.5 MiB of probe buffers, however many probes are asked for, and one
+    byte per column for the occupancy table (1 MiB at n = 2^20).
     """
-    sizes = a.column_sizes()
-    rich = np.flatnonzero(sizes >= 2)
-    weights = sizes[rich].astype(np.float64) ** 2
-    del sizes
+    i, k = a.occupied_columns()
+    rich = i[k >= 2]
+    weights = k[k >= 2].astype(np.float64) ** 2
+    del i, k
     if rich.size == 0:
         return None
     rng = np.random.default_rng(seed)
@@ -239,15 +248,22 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
     counted from its autocorrelation in about N^2 / 64 word operations
     (`_words.column_autocorrelations`), whose rows `_lagged_total` sums
     against the column sizes, as the FFT count does.  So the time is
-    O(sum_x min(|A_x|^2, N^2 / 64) + N), and the memory beyond the set
-    O(N) plus fixed-size buffers.
+    O(sum_x min(|A_x|^2, N^2 / 64) + N).
+
+    The lookup table holds the column sizes in the narrowest unsigned
+    dtype that holds the largest (uint8 up to 255 points a column), and
+    each block of lookups is summed in a uint32 (uint64 past 2^16 - 1
+    points a column).  So the memory beyond the set is one or two bytes a
+    column, a bool mask of the columns while the nonempty ones are found,
+    and fixed-size buffers; the N sizes are cast to int64 only when a
+    dense column needs them.
     """
-    table = _lagged_table(a)
-    pad = _lag_pad(a.ambient)
+    _, k = a.occupied_columns()
+    trivial = int(k @ k)
+    lone = int(np.count_nonzero(k == 1))
+    table = _lagged_table(a, np.min_scalar_type(k.max(initial=0)))
+    del k
     N = a.ambient.size
-    sizes = table[pad : pad + N]  # a view, not a copy
-    trivial = int(sizes @ sizes)
-    lone = int(np.count_nonzero(sizes == 1))
     dense = []
 
     def sparse() -> Iterator[tuple[int, np.ndarray]]:
@@ -258,15 +274,23 @@ def count_skew_corners_naive(a: GridSet) -> CornerCount:
             else:
                 yield i, ys
 
-    looked_up = np.empty(0, dtype=np.int64)  # table[t], reused like t
+    looked_up = np.empty(0, dtype=table.dtype)  # table[t], reused like t
+    # a block holds at most max(_PAIR_BLOCK, k) <= 2^16 lookups while every
+    # column k has under 2^16 points (a table of 1 or 2 bytes), so their
+    # sum fits a uint32, which numpy sums about twice as fast as an int64
+    total = np.uint32 if table.itemsize <= 2 else np.uint64
     pairs = 0
     for _, _, _, t in pair_targets(a, sparse()):
         if looked_up.size < t.size:
-            looked_up = np.empty(t.size, dtype=np.int64)
-        pairs += int(_lookup(a.ambient, table, t.ravel(), out=looked_up[: t.size]).sum())
+            looked_up = np.empty(t.size, dtype=table.dtype)
+        hits = _lookup(a.ambient, table, t.ravel(), out=looked_up[: t.size])
+        pairs += int(hits.sum(dtype=total))
     if dense:
         from ._words import column_autocorrelations  # loaded only for dense columns
 
+        # in int64, so that `rows @ sizes` cannot wrap in the table's dtype
+        pad = _lag_pad(a.ambient)
+        sizes = table[pad : pad + N].astype(np.int64)
         for block, c in column_autocorrelations(dense, a.ambient):
             pairs += _lagged_total(sizes, [i for i, _ in block], c, a.ambient.kind == TORUS)
     # the pairs include each column's k trivial pairs d = 0, which meet its
@@ -290,7 +314,7 @@ def column_power(a: GridSet) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarra
     a = fft_torus(a)
     N = a.ambient.size
     h = N // 2 + 1
-    nonempty = np.flatnonzero(a.column_sizes())
+    nonempty = a.occupied_columns()[0]
     step = max(1, min(nonempty.size, _BLOCK_ENTRIES // N))
     work = np.empty((2, step * 2 * h))  # 2h >= N + 1 floats a row
     for k in range(0, nonempty.size, step):
@@ -376,5 +400,5 @@ def count_corners(a: GridSet) -> CornerCount:
         total += int(np.count_nonzero(occ.take(t, mode="wrap")))
     # every pair d = 0 meets its own point, and so does a lone point, whose
     # column `pair_targets` skips
-    lone = int(np.count_nonzero(a.column_sizes() == 1))
+    lone = int(np.count_nonzero(a.occupied_columns()[1] == 1))
     return CornerCount(trivial=len(a), nontrivial=total + lone - len(a))

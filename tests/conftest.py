@@ -88,6 +88,33 @@ def brute_skew_tuples(a: sl.GridSet) -> tuple[int, int]:
     return trivial, nontrivial
 
 
+def wide_sparse_grid_set(n: int, seed: int) -> tuple[sl.GridSet, dict[int, list[int]]]:
+    """About 6000 points in 2000 random columns of the grid of side n, and
+    its columns {x: sorted ys} built from the drawn coordinates rather
+    than from the set."""
+    rng = np.random.default_rng(seed)
+    xs = np.repeat(rng.integers(1, n + 1, 2000), 3)
+    ys = rng.integers(1, n + 1, xs.size)
+    cols: dict[int, set[int]] = {}
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        cols.setdefault(x, set()).add(y)
+    return sl.GridSet.from_arrays(xs, ys, sl.grid(n)), {x: sorted(c) for x, c in cols.items()}
+
+
+def column_skew_tuples(cols: dict[int, list[int]]) -> tuple[int, int]:
+    """(trivial, nontrivial) skew-corner tuple counts of a grid set given
+    by its nonempty columns {x: ys}, by a loop over each column's pairs:
+    `brute_skew_tuples` loops over the whole ambient, too long for a wide
+    grid."""
+    trivial = sum(len(c) ** 2 for c in cols.values())
+    total = sum(
+        len(cols.get(x + y2 - y1, ()))
+        for x, c in cols.items()
+        for y1, y2 in itertools.product(c, c)
+    )
+    return trivial, total - trivial
+
+
 def brute_first_corner(a: sl.GridSet):
     """The first skew corner in (column x, j1, j2) order, where j1, j2 run
     over the positions of the column's sorted y-values, as a Witness whose

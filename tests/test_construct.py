@@ -212,6 +212,17 @@ def test_sampled_verification_memory_is_flat_in_the_probes(monkeypatch):
         assert peak.bytes <= 4 * 2**20
 
 
+def test_sampled_verification_memory_is_one_byte_per_column():
+    """The sphere set at n = 2^20, checked by sampling: the column walk
+    takes the nonempty columns and their sizes without an int64 array of
+    the 2^20 columns (8 MiB each), so the check stays under 3 MiB."""
+    a, _ = sl.sphere_construction(2**20)
+    assert free_verification(a) == "sampled"
+    with peak_memory() as peak:
+        assert sl.verify_free(a) is True
+    assert peak.bytes <= 3 * 2**20
+
+
 def _seeded_sphere_ns() -> list[int]:
     """40 distinct n, log-uniform up to 2^21."""
     rng = np.random.default_rng(2024)

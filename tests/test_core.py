@@ -11,9 +11,11 @@ import skewlab as sl
 from conftest import (
     brute_has_skew_corner,
     peak_memory,
+    rand_grid_set,
     rand_torus_set,
     reference_dumps,
     reference_loads,
+    wide_sparse_grid_set,
 )
 
 
@@ -133,6 +135,41 @@ def test_coordinates_follow_points():
         xs, ys = a.coordinates()
         assert xs.dtype == ys.dtype == np.int64
         assert list(zip(xs.tolist(), ys.tolist())) == list(a.points())
+
+
+def test_occupied_columns_are_the_nonzero_column_sizes():
+    """On grids and tori: the empty set, sets with empty first and last
+    columns, a full column, and seeded sets of many densities."""
+    rng = np.random.default_rng(38)
+    sets = [sl.make_grid_set([], amb) for amb in (sl.grid(1), sl.grid(5), sl.torus(6))]
+    sets += [
+        sl.make_grid_set([(2, 1), (2, 4), (4, 3)], sl.grid(5)),
+        sl.make_grid_set([(1, 0), (3, 2)], sl.torus(5)),
+        sl.make_grid_set([(5, y) for y in range(1, 6)] + [(1, 2)], sl.grid(5)),
+        sl.make_grid_set([(0, y) for y in range(6)], sl.torus(6)),
+        sl.make_grid_set([(1, 1)], sl.grid(1)),
+    ]
+    for _ in range(100):
+        side, density = int(rng.integers(1, 40)), float(rng.random()) ** 2
+        sets += [rand_grid_set(rng, side, density), rand_torus_set(rng, side, density)]
+    for a in sets:
+        sizes = a.column_sizes()
+        i, k = a.occupied_columns()
+        assert i.dtype == k.dtype == np.int64, a
+        assert np.array_equal(i, np.flatnonzero(sizes)), a
+        assert np.array_equal(k, sizes[i]), a
+
+
+def test_coordinates_of_a_wide_grid_set_are_set_sized():
+    """About 6000 points in the grid of side 2^20: xs is built from the
+    nonempty columns, with one byte per column for their mask, where an
+    x for every column and its size took 16 MiB."""
+    n = 1 << 20
+    a, cols = wide_sparse_grid_set(n, 6)
+    with peak_memory() as peak:
+        xs, ys = a.coordinates()
+    assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for x in sorted(cols) for y in cols[x]]
+    assert peak.bytes <= 2 * a.ys.nbytes + n
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,9 +14,11 @@ from conftest import (
     brute_corner_tuples,
     brute_first_corner,
     brute_skew_tuples,
+    column_skew_tuples,
     peak_memory,
     rand_grid_set,
     rand_torus_set,
+    wide_sparse_grid_set,
 )
 
 
@@ -295,6 +297,33 @@ def test_wide_grid_kernels_hold_no_three_n_table():
     assert find_peak.bytes < 3 * n
 
 
+def test_wide_grid_count_holds_one_byte_per_column():
+    """About 6000 points in the grid of side 2^20, at most 3 a column: the
+    lookup table holds the sizes as uint8 and the nonempty columns are
+    found through a bool mask, so the count's memory stays under 2.5 MiB,
+    where one int64 entry per column would take 8 MiB."""
+    a, cols = wide_sparse_grid_set(1 << 20, 6)
+    with peak_memory() as peak:
+        count = sl.count_skew_corners_naive(a)
+    assert count == sl.CornerCount(*column_skew_tuples(cols))
+    assert peak.bytes <= 2.5 * 2**20
+
+
+def test_pair_kernels_hold_one_block_buffer():
+    """The free 9^6 product in [46656]^2, whose first column has 729
+    points and whose later ones 486 and 324, in blocks of 64 881, 65 124
+    and 65 448 pairs: one buffer of the largest block serves every column,
+    so find stays under 1 MiB and the count under 1.25 MiB, where a buffer
+    regrown for a larger block was held together with the one before."""
+    a = sl.product_construction(sl.find_base_set(6), 46656)
+    with peak_memory() as find_peak:
+        assert sl.find_skew_corner(a) is None
+    with peak_memory() as count_peak:
+        count = sl.count_skew_corners_naive(a)
+    assert count == sl.CornerCount(int((a.column_sizes() ** 2).sum()), 0)
+    assert find_peak.bytes <= 2**20 and count_peak.bytes <= 1.25 * 2**20
+
+
 def test_only_verify_knows_the_lookup_layout():
     import skewlab.construct
     import skewlab.fourier
@@ -325,10 +354,27 @@ def _mixed_set(rng: np.random.Generator, kind: str, N: int) -> sl.GridSet:
     return sl.make_grid_set(pts, amb)
 
 
+def _tall_column_set(rng: np.random.Generator, kind: str, top: int) -> sl.GridSet:
+    """Side 257, a column of `top` points beside dense columns of 100 and 65
+    points and sparse columns of 64, 3, 2 and 1: with top 255 the naive
+    count's lookup table is uint8, with 256 uint16."""
+    N = 257
+    amb = sl.torus(N) if kind == "torus" else sl.grid(N)
+    heights = [top, 100, 65, 64, 3, 2, 1]
+    xs = rng.choice(N, len(heights), replace=False)
+    pts = [
+        (int(x) + amb.lo, int(y) + amb.lo)
+        for x, k in zip(xs, heights)
+        for y in rng.choice(N, k, replace=False)
+    ]
+    return sl.make_grid_set(pts, amb)
+
+
 @pytest.fixture(scope="module")
 def word_corpus() -> list[sl.GridSet]:
     """Seeded grid and torus sets at sides around the 64-bit word, at
-    densities 0.3, 0.7 and 1.0, and a mixed set at each side of at least 63."""
+    densities 0.3, 0.7 and 1.0, sets with a column of 255 and of 256
+    points, and a mixed set at each side of at least 63 (these last)."""
     rng = np.random.default_rng(24)
     sets = [
         make(rng, side, density)
@@ -336,6 +382,7 @@ def word_corpus() -> list[sl.GridSet]:
         for side in _WORD_SIDES
         for density in (0.3, 0.7, 1.0)
     ]
+    sets += [_tall_column_set(rng, kind, top) for kind in ("torus", "grid") for top in (255, 256)]
     sets += [_mixed_set(rng, kind, N) for kind in ("torus", "grid") for N in _MIXED_SIDES]
     return sets
 
