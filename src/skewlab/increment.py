@@ -9,7 +9,8 @@ plus a horizontal shift), and heavy L2 mass of the row spectra (progression
 of rows plus a vertical shift per column).  A vertical shift per column and
 a horizontal shift are exactly the symmetries that preserve freeness, so
 every extracted set is free again; the step re-verifies this with the
-oracle.
+oracle.  The stages pass coordinate arrays (xs, ys) from the extraction to
+the subsquare; only guaranteed mode builds the band as a set, to check it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import Ambient, grid
+from .ambient import grid
 from .core import GridSet, embed_torus
 from .errors import FalsificationError, ParameterError
 from .fourier import (
@@ -155,30 +156,23 @@ def _best_block(
     return best, density(best)
 
 
-def _band(
-    amb: Ambient, xs: np.ndarray, ys: np.ndarray, p: Progression, axis: str
-) -> GridSet:
-    """The points (xs, ys) whose x (axis "columns") or y (axis "rows") lies
-    on p, as a set in `amb`."""
-    keep = p.index(xs if axis == "columns" else ys) > 0
-    return GridSet.from_arrays(xs[keep], ys[keep], amb)
+def _column_extract(
+    a: GridSet, p: Progression, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best horizontal shift: the coordinates (xs, ys) of `a` moved left,
+    mod 2n, by the first shift maximizing the points it brings onto the
+    columns of p.  The band is the moved points with x on p."""
+    N = a.ambient.torus_side
+    shift = int(_shift_scores(np.bincount(xs, minlength=N), p).argmax())
+    return (xs - shift) % N, ys
 
 
-def _column_extract(a: GridSet, p: Progression) -> GridSet:
-    """Best horizontal shift: the first shift maximizing the points it
-    brings onto the columns of p, then the shifted set restricted to them,
-    in P x [n]."""
-    t = embed_torus(a)
-    N = t.ambient.size
-    shift = int(_shift_scores(t.column_sizes(), p).argmax())
-    xs, ys = a.coordinates()
-    return _band(a.ambient, (xs - shift) % N, ys, p, "columns")
-
-
-def _row_extract(a: GridSet, p: Progression) -> GridSet:
-    """Best vertical shift per column: column x moves down by the first y
-    maximizing |(A_x - y) cap P| over the torus columns x, and the moved
-    set is restricted to the rows of p, in [n] x P."""
+def _row_extract(
+    a: GridSet, p: Progression, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best vertical shift per column: the coordinates (xs, ys) of `a` with
+    column x moved down, mod 2n, by the first y maximizing |(A_x - y) cap P|
+    over the torus columns x.  The band is the moved points with y on p."""
     t = embed_torus(a)
     N = t.ambient.size
     cols = t.occupied_columns()[0]
@@ -188,8 +182,7 @@ def _row_extract(a: GridSet, p: Progression) -> GridSet:
     down = np.zeros(N, dtype=np.int64)
     down[cols] = _shift_scores(rows, p).argmax(axis=1)
     # torus column x holds grid column x: the embedding keeps coordinates
-    xs, ys = a.coordinates()
-    return _band(a.ambient, xs, (ys - down[xs]) % N, p, "rows")
+    return xs, (ys - down[xs]) % N
 
 
 @dataclass(frozen=True)
@@ -199,12 +192,16 @@ class _L2Route:
     the heavy prefix of the weights spectrum^power, by technical_select with
     beta = (C alpha)^power, p = exponent / power and (q, p') = `select`.
     `extract` moves the set onto the band along `axis` of the progression
-    that annihilates them; guaranteed mode needs density 3 m^k alpha there."""
+    that annihilates them, taking the set and its coordinates (xs, ys) to
+    the moved coordinates; guaranteed mode needs density 3 m^k alpha on that
+    band."""
 
     exponent: float
     power: int
     select: tuple[float, float]
-    extract: Callable[[GridSet, Progression], GridSet]
+    extract: Callable[
+        [GridSet, Progression, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
+    ]
     axis: str
     branch: str
     k: Fraction
@@ -238,20 +235,24 @@ def _l2_route(
     prog = annihilating_progression(gamma_set, alpha, n)
     if prog is None:
         return _small_density(a, "alpha n below the progression guard", route.branch)
-    # the extraction moves columns vertically or the set horizontally and
-    # restricts it, which preserves freeness
-    band = route.extract(a, prog)
-    w = find_skew_corner(band)
+    # the extraction moves columns vertically or the set horizontally, which
+    # preserves freeness; the band is the moved points on prog
+    xs, ys = route.extract(a, prog, *a.coordinates())
+    on = prog.index(xs if route.axis == "columns" else ys) > 0
+    xs, ys = xs[on], ys[on]
+    w = find_skew_corner(GridSet.from_arrays(xs, ys, a.ambient))
     if w is not None:
         raise FalsificationError(f"extracted set contains a skew corner: {w}")
-    density = len(band) / (prog.length * n)
+    density = xs.size / (prog.length * n)
     if density < 3 * m ** float(route.k) * alpha - DEFAULT_TOL:
         raise FalsificationError(
             f"{route.axis[:-1]}-band density {density:.6g} below "
             f"3 m^({route.k}) alpha; configured C does not support the "
             "guaranteed bound"
         )
-    out = _subsquare_outcome(band, prog, route.axis, route.branch, gamma_set, alpha)
+    out = _subsquare_outcome(
+        xs, ys, n, prog, route.axis, route.branch, gamma_set, alpha
+    )
     return _above_floor(out, (1 + config.c_prime) * m ** (1 / 6) * alpha)
 
 
@@ -259,24 +260,31 @@ def _l2_route(
 # Full step
 # ---------------------------------------------------------------------------
 
-def _square_outcome(
-    a: GridSet,
+def _subsquare_outcome(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    n: int,
     p: Progression,
-    translate: Progression,
     axis: str,
     branch: Optional[str],
     gamma_set: Optional[CharacterSet],
     alpha: float,
     note: str = "",
+    translate: Optional[Progression] = None,
 ) -> IncrementOutcome:
-    """The points of `a` in the square p x translate (axis "columns") or
-    translate x p (axis "rows"), renamed into [p.length]^2, checked free and
-    packaged as a subsquare outcome."""
-    cols, rows = (p, translate) if axis == "columns" else (translate, p)
-    xs, ys = a.coordinates()
-    i, j = cols.index(xs), rows.index(ys)
+    """The points (xs, ys) of [n]^2 in the square p x P' (axis "columns")
+    or P' x p (axis "rows"), renamed into [p.length]^2, checked free and
+    packaged as a subsquare outcome.  P' is `translate` when the caller
+    fixed it, else the translate of p that pigeonholes the band on p (the
+    points with x, or y, on p) onto its densest square."""
+    u, along = (xs, ys) if axis == "columns" else (ys, xs)  # in P, against P'
+    i = p.index(u)
+    if translate is None:
+        translate = _best_translate(along[i > 0], p, n)
+    j = translate.index(along)
     keep = (i > 0) & (j > 0)
-    renamed = GridSet.from_arrays(i[keep], j[keep], grid(p.length))
+    i, j = (i[keep], j[keep]) if axis == "columns" else (j[keep], i[keep])
+    renamed = GridSet.from_arrays(i, j, grid(p.length))
     w = find_skew_corner(renamed)
     if w is not None:
         raise FalsificationError(
@@ -286,7 +294,7 @@ def _square_outcome(
         variant=SUBSQUARE,
         branch=branch,
         alpha=alpha,
-        n=a.ambient.size,
+        n=n,
         extracted=renamed,
         extracted_count=len(renamed),
         box_area=p.length**2,
@@ -298,23 +306,6 @@ def _square_outcome(
     )
 
 
-def _subsquare_outcome(
-    a: GridSet,
-    p: Progression,
-    axis: str,
-    branch: Optional[str],
-    gamma_set: Optional[CharacterSet],
-    alpha: float,
-    note: str = "",
-) -> IncrementOutcome:
-    """Take the band of `a` on p (its columns for axis "columns", its rows
-    for "rows"), pigeonhole it onto its densest square and package that."""
-    xs, ys = a.coordinates()
-    u, along = (xs, ys) if axis == "columns" else (ys, xs)  # in P, against P'
-    translate = _best_translate(along[p.index(u) > 0], p, a.ambient.size)
-    return _square_outcome(a, p, translate, axis, branch, gamma_set, alpha, note)
-
-
 def _small_density(a: GridSet, note: str, branch: str = "i") -> IncrementOutcome:
     """A small-density stop: branch "i" when alpha <= 8/n or the input is
     empty, else the branch of the route whose guard stopped it."""
@@ -323,14 +314,17 @@ def _small_density(a: GridSet, note: str, branch: str = "i") -> IncrementOutcome
     )
 
 
-def _scan_candidates(a: GridSet) -> list[IncrementOutcome]:
-    """Best difference-1 subsquares at a sweep of side lengths.
+def _scan_candidates(
+    a: GridSet, xy: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> list[IncrementOutcome]:
+    """Best difference-1 subsquares at a sweep of side lengths, read from
+    the coordinates `xy` of `a` (a.coordinates() when None).
 
     The full square [n]^2 is always included, so the best-effort step always
     has an outcome with density >= alpha available.
     """
     n = a.ambient.size
-    xs, ys = a.coordinates()
+    xs, ys = a.coordinates() if xy is None else xy
     cols = a.occupied_columns()[0] + 1
     # pref[r, y] counts the points up to row y in the first r nonempty
     # columns; int32 is safe, as counts are at most n^2 < 2^31 for n <= 46340
@@ -355,9 +349,10 @@ def _scan_candidates(a: GridSet) -> list[IncrementOutcome]:
         win = band[:, L:] - band[:, :-L]
         r, sy = divmod(int(win.argmax()), win.shape[1])
         out.append(
-            _square_outcome(
-                a, Progression(int(sx[r]), 1, L), Progression(sy + 1, 1, L),
-                "columns", None, None, a.density, note="difference-1 subsquare scan",
+            _subsquare_outcome(
+                xs, ys, n, Progression(int(sx[r]), 1, L), "columns", None, None,
+                a.density, "difference-1 subsquare scan",
+                translate=Progression(sy + 1, 1, L),
             )
         )
     return out
@@ -416,7 +411,7 @@ def _guaranteed_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
             f"block density {density:.6g} below the guaranteed "
             f"(1+3c')alpha = {(1 + 3 * c_p) * alpha:.6g}"
         )
-    out = _subsquare_outcome(a, block, "columns", "ii", None, alpha)
+    out = _subsquare_outcome(*a.coordinates(), n, block, "columns", "ii", None, alpha)
     return _above_floor(out, (1 + c_p) * alpha)
 
 
@@ -431,7 +426,8 @@ def _above_floor(out: IncrementOutcome, floor: float) -> IncrementOutcome:
 
 def _best_effort_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
     n, N, alpha = a.ambient.size, a.ambient.torus_side, a.density
-    candidates = _scan_candidates(a)
+    xs, ys = a.coordinates()
+    candidates = _scan_candidates(a, (xs, ys))
     spectrum = marginal_spectrum(a)
     cross = cross_spectrum(a)
 
@@ -442,8 +438,8 @@ def _best_effort_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
         if blk.span <= n:
             candidates.append(
                 _subsquare_outcome(
-                    a, blk, "columns", "ii", None, alpha,
-                    note="best-effort block route",
+                    xs, ys, n, blk, "columns", "ii", None, alpha,
+                    "best-effort block route",
                 )
             )
 
@@ -464,19 +460,19 @@ def _best_effort_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
                 continue
             candidates.append(
                 _subsquare_outcome(
-                    route.extract(a, prog), prog, route.axis, route.branch,
-                    gamma_set, alpha, note="best-effort route with relaxed guards",
+                    *route.extract(a, prog, xs, ys), n, prog, route.axis,
+                    route.branch, gamma_set, alpha,
+                    "best-effort route with relaxed guards",
                 )
             )
 
     viable = [c for c in candidates if c.extracted_count > 0]
     if not any(c.density >= alpha for c in viable):
         # last resort: a single occupied cell has density 1
-        x, y = next(a.points())
         viable.append(
-            _square_outcome(
-                a, Progression(x, 1, 1), Progression(y, 1, 1), "columns",
-                None, None, alpha, note="single-cell fallback",
+            _subsquare_outcome(
+                xs, ys, n, Progression(int(xs[0]), 1, 1), "columns", None, None,
+                alpha, "single-cell fallback", translate=Progression(int(ys[0]), 1, 1),
             )
         )
     # Prefer the largest subsquare that achieves the guaranteed-mode floor

@@ -11,11 +11,12 @@ from conftest import (
     peak_memory,
     row_shift_definition,
 )
-from skewlab import fourier
+from skewlab import fourier, increment
 from skewlab.fourier import cross_spectrum, marginal_spectrum
 from skewlab.increment import (
     _COLUMN_ROUTE,
     _ROW_ROUTE,
+    _above_floor,
     _best_translate,
     _column_extract,
     _guaranteed_step,
@@ -150,8 +151,9 @@ def test_shift_search_matches_definition():
         score = [sum(len(cols[(e + y) % N]) for e in elems) for y in range(N)]
         shift = score.index(max(score))
         want = {(e, y) for e in elems for y in cols[(e + shift) % N]}
-        got = _column_extract(a, p)
-        assert set(got.points()) == want
+        xs, ys = _column_extract(a, p, *a.coordinates())
+        on = p.index(xs) > 0
+        assert set(zip(xs[on].tolist(), ys[on].tolist())) == want
         ties += score.count(max(score)) > 1
         wraps += any(e + shift >= N for e in elems) and bool(want)
 
@@ -159,8 +161,9 @@ def test_shift_search_matches_definition():
         for col, h, y in zip(cols, hits, shifts):
             ties += bool(col) and h.count(max(h)) > 1
             wraps += any(e + y >= N and (e + y) % N in col for e in elems)
-        got = _row_extract(a, p)
-        assert set(got.points()) == want
+        xs, ys = _row_extract(a, p, *a.coordinates())
+        on = p.index(ys) > 0
+        assert set(zip(xs[on].tolist(), ys[on].tolist())) == want
     assert ties and wraps  # both the tie rule and the wraparound were exercised
 
 
@@ -182,6 +185,70 @@ def test_horizontal_fires_then_small_density_verdict():
     res = _l2_route(comb, cross_spectrum(comb), _ROW_ROUTE, sl.AnalysisConfig(C=1.0))
     assert res is not None and res.variant == "small_density"
     assert res.note == "alpha n below the progression guard"
+
+
+def _past_the_guard(monkeypatch, a, spec, route, configs) -> int:
+    """Run `route` on `a` with its progression guard lifted (the relaxed
+    progression of best-effort mode stands in for the guarded one), check
+    every subsquare outcome against the route's contract and count them."""
+    monkeypatch.setattr(
+        increment, "annihilating_progression", fourier._dirichlet_progression
+    )
+    reached = 0
+    for config in configs:
+        out = _l2_route(a, spec, route, config)
+        if out is None:
+            continue
+        m = len(out.gamma_set)
+        assert out.variant == "subsquare" and out.branch == route.branch
+        assert sl.find_skew_corner(out.extracted) is None
+        assert out.extracted_count == len(out.extracted)
+        assert out.density >= (1 + config.c_prime) * m ** (1 / 6) * a.density
+        assert out.n_prime == out.progression.length == out.translate.length
+        reached += 1
+    return reached
+
+
+_GRID_CONFIGS = [
+    sl.AnalysisConfig(C=C, c_prime=c_prime)
+    for C in (1.0, 2.0, 4.0)
+    for c_prime in (0.01, 0.05, 0.2)
+]
+
+
+def test_row_route_past_its_guard_returns_a_free_subsquare(monkeypatch):
+    # at C = 1 the row route opens on each of these; with the guard lifted
+    # it extracts a band, checks it and pigeonholes it onto a subsquare
+    sets = [
+        composition_2040(),
+        sl.product_construction(sl.find_base_set(6), 216),
+        *(greedy_free_set(n, np.random.default_rng(n)) for n in (32, 40, 48)),
+    ]
+    for a in sets:
+        reached = _past_the_guard(
+            monkeypatch, a, cross_spectrum(a), _ROW_ROUTE, _GRID_CONFIGS
+        )
+        assert reached >= 3, a.ambient
+
+
+def test_column_route_past_its_guard_returns_a_free_subsquare(monkeypatch):
+    # one full column has a flat marginal: the column route opens at C = 1
+    for n in (24, 32, 48, 64):
+        for x in (1, 5, n):
+            col = sl.make_grid_set([(x, y) for y in range(1, n + 1)], sl.grid(n))
+            reached = _past_the_guard(
+                monkeypatch, col, marginal_spectrum(col), _COLUMN_ROUTE, _GRID_CONFIGS
+            )
+            assert reached >= 3, (n, x)
+
+
+def test_above_floor_raises_below_its_floor():
+    out = sl.IncrementOutcome(
+        "subsquare", "ii", 0.1, 8, extracted_count=1, box_area=4
+    )
+    assert _above_floor(out, 0.25) is out
+    with pytest.raises(sl.FalsificationError, match="below the guaranteed floor"):
+        _above_floor(out, 0.3)
 
 
 def test_extraction_helpers_preserve_freeness():
