@@ -239,11 +239,10 @@ def _l2_route(
     # preserves freeness; the band is the moved points on prog
     xs, ys = route.extract(a, prog, *a.coordinates())
     on = prog.index(xs if route.axis == "columns" else ys) > 0
-    xs, ys = xs[on], ys[on]
-    w = find_skew_corner(GridSet.from_arrays(xs, ys, a.ambient))
+    w = find_skew_corner(GridSet.from_arrays(xs[on], ys[on], a.ambient))
     if w is not None:
         raise FalsificationError(f"extracted set contains a skew corner: {w}")
-    density = xs.size / (prog.length * n)
+    density = int(on.sum()) / (prog.length * n)
     if density < 3 * m ** float(route.k) * alpha - DEFAULT_TOL:
         raise FalsificationError(
             f"{route.axis[:-1]}-band density {density:.6g} below "
@@ -314,17 +313,14 @@ def _small_density(a: GridSet, note: str, branch: str = "i") -> IncrementOutcome
     )
 
 
-def _scan_candidates(
-    a: GridSet, xy: Optional[tuple[np.ndarray, np.ndarray]] = None
-) -> list[IncrementOutcome]:
-    """Best difference-1 subsquares at a sweep of side lengths, read from
-    the coordinates `xy` of `a` (a.coordinates() when None).
+def _scan_candidates(a: GridSet) -> list[IncrementOutcome]:
+    """Best difference-1 subsquares at a sweep of side lengths.
 
     The full square [n]^2 is always included, so the best-effort step always
     has an outcome with density >= alpha available.
     """
     n = a.ambient.size
-    xs, ys = a.coordinates() if xy is None else xy
+    xs, ys = a.coordinates()
     cols = a.occupied_columns()[0] + 1
     # pref[r, y] counts the points up to row y in the first r nonempty
     # columns; int32 is safe, as counts are at most n^2 < 2^31 for n <= 46340
@@ -426,8 +422,8 @@ def _above_floor(out: IncrementOutcome, floor: float) -> IncrementOutcome:
 
 def _best_effort_step(a: GridSet, config: AnalysisConfig) -> IncrementOutcome:
     n, N, alpha = a.ambient.size, a.ambient.torus_side, a.density
+    candidates = _scan_candidates(a)
     xs, ys = a.coordinates()
-    candidates = _scan_candidates(a, (xs, ys))
     spectrum = marginal_spectrum(a)
     cross = cross_spectrum(a)
 
